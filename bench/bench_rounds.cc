@@ -2,8 +2,9 @@
 /// sizes (8 -> 1024 clients, ~16 KiB tensor replies). The streaming path
 /// folds each reply into a TensorAccumulator as it completes and drops the
 /// payload, so its live reply memory is one aggregate regardless of the
-/// client count; the legacy buffered path materializes every reply before
-/// aggregating, so its per-round reply footprint grows linearly. The sweep
+/// client count; the buffered path (a bench-local consumer that keeps every
+/// reply) materializes the whole round before aggregating, so its per-round
+/// reply footprint grows linearly. The sweep
 /// runs the streaming pass first, ascending — process RSS is sticky, so
 /// running the buffered pass first would hide the streaming flatness under
 /// heap already grown by buffering.
@@ -109,6 +110,37 @@ class TensorFold : public fl::ReplyConsumer {
   fl::TensorAccumulator acc_;
 };
 
+/// The buffered baseline: keeps every reply and aggregates at Finish, with
+/// the weights renormalized over the respondents first.
+class BufferingConsumer : public fl::ReplyConsumer {
+ public:
+  Status Consume(fl::ClientReply&& r) override {
+    total_weight_ += r.weight;
+    replies_.push_back(std::move(r));
+    return Status::OK();
+  }
+  Status Finish() override {
+    fl::TensorAccumulator acc;
+    for (const fl::ClientReply& r : replies_) {
+      FEDFC_ASSIGN_OR_RETURN(std::vector<double> t,
+                             r.payload.GetTensor("params"));
+      FEDFC_RETURN_IF_ERROR(acc.Add(r.weight / total_weight_, t));
+    }
+    FEDFC_ASSIGN_OR_RETURN(mean_, acc.Mean());
+    return Status::OK();
+  }
+
+  [[nodiscard]] const std::vector<fl::ClientReply>& replies() const {
+    return replies_;
+  }
+  [[nodiscard]] const std::vector<double>& mean() const { return mean_; }
+
+ private:
+  std::vector<fl::ClientReply> replies_;
+  double total_weight_ = 0.0;
+  std::vector<double> mean_;
+};
+
 double Checksum(const std::vector<double>& tensor) {
   double sum = 0.0;
   for (double v : tensor) sum += v;
@@ -142,19 +174,17 @@ double TimeBufferedRounds(fl::Server* server, double* checksum,
                           size_t* reply_bytes) {
   auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < kRoundsPerSize; ++r) {
-    Result<fl::RoundResult> round =
-        server->RunRound(fl::RoundSpec("round", fl::Payload()));
-    FEDFC_CHECK(round.ok()) << round.status();
+    BufferingConsumer buffered;
+    Result<fl::RoundSummary> summary =
+        server->RunRound(fl::RoundSpec("round", fl::Payload()), buffered);
+    FEDFC_CHECK(summary.ok()) << summary.status();
     if (r == 0) {
       *reply_bytes = 0;
-      for (const fl::ClientReply& reply : round->replies) {
+      for (const fl::ClientReply& reply : buffered.replies()) {
         *reply_bytes += reply.payload.Serialize().size();
       }
     }
-    Result<std::vector<double>> mean =
-        fl::Server::AggregateTensor(round->replies, "params");
-    FEDFC_CHECK(mean.ok()) << mean.status();
-    *checksum = Checksum(*mean);
+    *checksum = Checksum(buffered.mean());
   }
   return SecondsSince(start);
 }

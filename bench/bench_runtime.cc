@@ -49,16 +49,30 @@ class LatencyClient : public fl::Client {
   std::chrono::milliseconds latency_;
 };
 
-/// Times `rounds` broadcasts of `task` at a given thread count.
-double TimeBroadcasts(fl::Server* server, size_t num_threads, int rounds,
+/// Counts a round's replies and drops them.
+class CountingConsumer : public fl::ReplyConsumer {
+ public:
+  Status Consume(fl::ClientReply&&) override {
+    ++count;
+    return Status::OK();
+  }
+  Status Finish() override { return Status::OK(); }
+
+  size_t count = 0;
+};
+
+/// Times `rounds` full-participation rounds of `task` at a given thread
+/// count.
+double TimeRounds(fl::Server* server, size_t num_threads, int rounds,
                       const char* task) {
   server->set_num_threads(num_threads);
   auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < rounds; ++r) {
-    Result<std::vector<fl::ClientReply>> replies =
-        server->Broadcast(task, fl::Payload());
-    FEDFC_CHECK(replies.ok()) << replies.status();
-    FEDFC_CHECK(replies->size() == server->num_clients());
+    CountingConsumer replies;
+    Result<fl::RoundSummary> summary =
+        server->RunRound(fl::RoundSpec(task, fl::Payload()), replies);
+    FEDFC_CHECK(summary.ok()) << summary.status();
+    FEDFC_CHECK(replies.count == server->num_clients());
   }
   return SecondsSince(start);
 }
@@ -176,9 +190,9 @@ int Main(int argc, char** argv) {
     }
     fl::Server latency_server(
         std::make_unique<fl::InProcessTransport>(std::move(clients)), sizes);
-    double lat_base = TimeBroadcasts(&latency_server, 1, kRounds, "fit");
+    double lat_base = TimeRounds(&latency_server, 1, kRounds, "fit");
     for (size_t threads : {2u, 4u, 8u}) {
-      double t = TimeBroadcasts(&latency_server, threads, kRounds, "fit");
+      double t = TimeRounds(&latency_server, threads, kRounds, "fit");
       std::printf(
           "  latency-bound (5 ms RTT): num_threads=%zu %.3f s vs "
           "num_threads=1 %.3f s -> speedup %.2fx\n",
@@ -214,9 +228,9 @@ int Main(int argc, char** argv) {
     fl::Server cpu_server(std::make_unique<fl::InProcessTransport>(std::move(fc)),
                           fc_sizes);
     double cpu_base =
-        TimeBroadcasts(&cpu_server, 1, kRounds, automl::tasks::kMetaFeatures);
+        TimeRounds(&cpu_server, 1, kRounds, automl::tasks::kMetaFeatures);
     double cpu_par =
-        TimeBroadcasts(&cpu_server, 4, kRounds, automl::tasks::kMetaFeatures);
+        TimeRounds(&cpu_server, 4, kRounds, automl::tasks::kMetaFeatures);
     std::printf(
         "  cpu-bound (meta-features): num_threads=4 %.3f s vs "
         "num_threads=1 %.3f s -> speedup %.2fx (core-limited)\n",

@@ -8,7 +8,7 @@
 #           built into build-asan/.
 #   ubsan   UndefinedBehaviorSanitizer (non-recoverable) over the full test
 #           suite, built into build-ubsan/.
-#   lint    fedfc_lint repo-invariant linter (12 rules incl. the whole-program
+#   lint    fedfc_lint repo-invariant linter (11 rules incl. the whole-program
 #           layering and fuzz_coverage passes; `--list-rules`
 #           prints the set) + its per-rule
 #           self-tests, and clang-tidy over src/ when clang-tidy is installed.

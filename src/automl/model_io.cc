@@ -39,7 +39,7 @@ Status ModelBlobAccumulator::Add(double weight, const std::vector<double>& blob)
     if (!any_) {
       param_sum_.assign(blob.size(), 0.0);
     } else if (blob.size() != param_sum_.size()) {
-      return Status::InvalidArgument("AggregateModelBlobs: size mismatch");
+      return Status::InvalidArgument("ModelBlobAccumulator: size mismatch");
     }
     for (size_t i = 0; i < blob.size(); ++i) {
       param_sum_[i] += weight * blob[i];
@@ -54,11 +54,11 @@ Status ModelBlobAccumulator::Add(double weight, const std::vector<double>& blob)
   // weighted sum, realized with a merged learning rate of 1 and leaf weights
   // pre-scaled by w_k * lr_k (renormalized by the weight total at Finish).
   if (blob.size() < 3) {
-    return Status::InvalidArgument("AggregateModelBlobs: short XGB blob");
+    return Status::InvalidArgument("ModelBlobAccumulator: short XGB blob");
   }
   if (!std::isfinite(blob[0]) || !std::isfinite(blob[1])) {
     return Status::InvalidArgument(
-        "AggregateModelBlobs: non-finite base score or learning rate");
+        "ModelBlobAccumulator: non-finite base score or learning rate");
   }
   const double base = blob[0];
   const double lr = blob[1];
@@ -67,16 +67,18 @@ Status ModelBlobAccumulator::Add(double weight, const std::vector<double>& blob)
   // accumulated state, so a bad blob leaves the fold unchanged.
   FEDFC_ASSIGN_OR_RETURN(
       size_t n_trees,
-      CheckedCount(blob[2], blob.size() - 3, "AggregateModelBlobs tree count"));
+      CheckedCount(blob[2], blob.size() - 3,
+                   "ModelBlobAccumulator tree count"));
   size_t offset = 3;
   for (size_t t = 0; t < n_trees; ++t) {
     if (offset >= blob.size()) {
-      return Status::InvalidArgument("AggregateModelBlobs: truncated XGB blob");
+      return Status::InvalidArgument(
+          "ModelBlobAccumulator: truncated XGB blob");
     }
     FEDFC_ASSIGN_OR_RETURN(
         size_t n_nodes,
         CheckedCount(blob[offset], (blob.size() - offset - 1) / 5,
-                     "AggregateModelBlobs node block"));
+                     "ModelBlobAccumulator node block"));
     offset += 1 + 5 * n_nodes;
   }
   base_sum_ += weight * base;
@@ -102,10 +104,10 @@ Status ModelBlobAccumulator::Add(double weight, const std::vector<double>& blob)
 
 Result<std::vector<double>> ModelBlobAccumulator::Finish() {
   if (!any_) {
-    return Status::InvalidArgument("AggregateModelBlobs: bad inputs");
+    return Status::InvalidArgument("ModelBlobAccumulator: no blobs to aggregate");
   }
   if (total_weight_ <= 0.0) {
-    return Status::InvalidArgument("AggregateModelBlobs: zero total weight");
+    return Status::InvalidArgument("ModelBlobAccumulator: zero total weight");
   }
   if (!xgb_) {
     std::vector<double> avg = std::move(param_sum_);
@@ -129,19 +131,6 @@ Result<std::vector<double>> ModelBlobAccumulator::Finish() {
   }
   merged.insert(merged.end(), tree_section_.begin(), tree_section_.end());
   return merged;
-}
-
-Result<std::vector<double>> AggregateModelBlobs(
-    const Configuration& config, const std::vector<std::vector<double>>& blobs,
-    const std::vector<double>& weights) {
-  if (blobs.empty() || blobs.size() != weights.size()) {
-    return Status::InvalidArgument("AggregateModelBlobs: bad inputs");
-  }
-  ModelBlobAccumulator acc(config);
-  for (size_t k = 0; k < blobs.size(); ++k) {
-    FEDFC_RETURN_IF_ERROR(acc.Add(weights[k], blobs[k]));
-  }
-  return acc.Finish();
 }
 
 Result<std::unique_ptr<ml::Regressor>> DeserializeModel(

@@ -43,9 +43,7 @@ Result<std::unique_ptr<ml::Regressor>> DeserializeModel(
 /// `Finish`, so one client's blob can be folded in and dropped as it
 /// arrives — the model analogue of fl::ScalarAccumulator. `Finish` is
 /// one-shot: it finalizes the accumulated state and returns the global
-/// blob. `AggregateModelBlobs` is a thin loop over this class, so the
-/// buffered and streaming paths share one code path (and one set of
-/// validation errors).
+/// blob. This is the one place client models become the global model.
 class ModelBlobAccumulator {
  public:
   explicit ModelBlobAccumulator(const Configuration& config)
@@ -63,12 +61,6 @@ class ModelBlobAccumulator {
   size_t total_trees_ = 0;          ///< XGB: trees appended so far.
   std::vector<double> tree_section_;  ///< XGB: leaves pre-scaled by w * lr.
 };
-
-/// Buffered convenience over `ModelBlobAccumulator`: folds every blob, then
-/// finishes. `weights` are renormalized internally.
-Result<std::vector<double>> AggregateModelBlobs(
-    const Configuration& config, const std::vector<std::vector<double>>& blobs,
-    const std::vector<double>& weights);
 
 // ---------------------------------------------------------------------------
 // Model artifacts & the serving registry's publish side.

@@ -14,9 +14,9 @@ namespace fedfc::automl::phases {
 /// Typed streaming folds shared by every automl round call site: each
 /// consumer decodes a reply payload with the typed codec, folds the decoded
 /// value into a streaming fl:: accumulator, and drops the payload — the
-/// engine never materializes a round (the fedfc_lint `round_buffering` rule
-/// keeps it that way). Weights arrive raw (|D_j|) per the ReplyConsumer
-/// contract; the accumulators renormalize on their running totals.
+/// engine never materializes a round. Weights arrive raw (|D_j|) per the
+/// ReplyConsumer contract; the accumulators renormalize on their running
+/// totals.
 
 /// Equation 1 fold of one scalar per reply. `DecodeFn` maps a payload to
 /// the scalar (`Result<double>(const fl::Payload&)`); a decode failure

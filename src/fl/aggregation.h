@@ -1,12 +1,9 @@
 #ifndef FEDFC_FL_AGGREGATION_H_
 #define FEDFC_FL_AGGREGATION_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "core/result.h"
-#include "ml/model.h"
 
 namespace fedfc::fl {
 
@@ -64,40 +61,6 @@ class TensorAccumulator {
   double total_weight_ = 0.0;
   bool any_ = false;
 };
-
-/// Weighted ensemble over client models — the aggregation strategy for model
-/// families without meaningful parameter averaging (tree ensembles).
-class EnsembleRegressor : public ml::Regressor {
- public:
-  EnsembleRegressor() = default;
-  EnsembleRegressor(const EnsembleRegressor& other);
-  EnsembleRegressor& operator=(const EnsembleRegressor& other);
-
-  void Add(std::unique_ptr<ml::Regressor> model, double weight);
-
-  Status Fit(const Matrix& x, const std::vector<double>& y, Rng* rng) override;
-  std::vector<double> Predict(const Matrix& x) const override;
-  std::string Name() const override;
-  std::unique_ptr<ml::Regressor> Clone() const override {
-    return std::make_unique<EnsembleRegressor>(*this);
-  }
-
-  [[nodiscard]] size_t size() const { return members_.size(); }
-
- private:
-  std::vector<std::unique_ptr<ml::Regressor>> members_;
-  std::vector<double> weights_;
-};
-
-/// Aggregates fitted client models into the deployable global model
-/// (Algorithm 1, lines 26-27):
-///  - parameter-averaging families (linear, N-BEATS): FedAvg of the flat
-///    parameter vectors loaded into a clone of the first model;
-///  - other families (tree ensembles): a weighted prediction ensemble.
-/// `weights` must align with `models` and sum to ~1.
-Result<std::unique_ptr<ml::Regressor>> AggregateModels(
-    std::vector<std::unique_ptr<ml::Regressor>> models,
-    const std::vector<double>& weights);
 
 }  // namespace fedfc::fl
 

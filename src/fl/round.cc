@@ -7,25 +7,6 @@
 
 namespace fedfc::fl {
 
-Result<RoundResult> RoundRunner::RunRound(const RoundSpec& spec) {
-  CollectingConsumer collector;
-  FEDFC_ASSIGN_OR_RETURN(RoundSummary summary, RunRound(spec, collector));
-  RoundResult result;
-  result.replies = std::move(collector.replies());
-  result.outcomes = std::move(summary.outcomes);
-  result.trace = summary.trace;
-  return result;
-}
-
-Result<RoundSummary> FeedRoundResult(RoundResult result,
-                                     ReplyConsumer& consumer) {
-  for (ClientReply& reply : result.replies) {
-    FEDFC_RETURN_IF_ERROR(consumer.Consume(std::move(reply)));
-  }
-  FEDFC_RETURN_IF_ERROR(consumer.Finish());
-  return RoundSummary{std::move(result.outcomes), result.trace};
-}
-
 std::vector<size_t> SampleParticipants(const RoundSpec& spec, size_t num_clients) {
   std::vector<size_t> sampled;
   if (spec.policy.participation_fraction >= 1.0) {

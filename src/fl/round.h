@@ -10,13 +10,9 @@
 
 namespace fedfc::fl {
 
-/// Reply from one client, tagged with its index and aggregation weight.
-///
-/// The meaning of `weight` depends on where the reply sits in the pipeline:
-/// a `ReplyConsumer` receives the RAW example count |D_j| and renormalizes
-/// on its own running total, while the buffered `RoundResult` (built by
-/// `CollectingConsumer`) carries weights already renormalized over the
-/// respondents — Equation 1's alpha_j.
+/// Reply from one client, tagged with its index and aggregation weight: the
+/// client's RAW example count |D_j|. Consumers renormalize on their own
+/// running total (Equation 1's alpha_j = |D_j| / |D|).
 struct ClientReply {
   size_t client_index = 0;
   double weight = 0.0;
@@ -26,7 +22,7 @@ struct ClientReply {
 /// Orchestration knobs shared by every round of a run: who participates and
 /// how stubborn the server is about individual client failures. The defaults
 /// (everyone participates, no retries, tolerate any non-empty response set)
-/// reproduce the plain broadcast semantics exactly.
+/// send the task to every client once.
 struct RoundPolicy {
   /// Fraction of the population sampled into the round, in (0, 1]. With 1.0
   /// every client participates and no sampling RNG is consumed.
@@ -118,45 +114,10 @@ struct RoundSummary {
   RoundTrace trace;
 };
 
-/// Result of a buffered round: the successful replies (client-index-ordered,
-/// weights renormalized over the respondents — Equation 1), the per-client
-/// outcomes, and the trace. Kept for callers that genuinely need the whole
-/// round at once (tests, the secure-aggregation masking path); engine code
-/// folds through `ReplyConsumer`s instead.
-struct RoundResult {
-  std::vector<ClientReply> replies;
-  std::vector<ClientOutcome> outcomes;
-  RoundTrace trace;
-};
-
-/// The provided consumer that rebuilds the legacy buffered `RoundResult`:
-/// stashes every reply and, at `Finish`, renormalizes the raw weights over
-/// the running total — bit-identical to the historical post-gather
-/// renormalization loop.
-class CollectingConsumer : public ReplyConsumer {
- public:
-  Status Consume(ClientReply&& reply) override {
-    total_weight_ += reply.weight;
-    replies_.push_back(std::move(reply));
-    return Status::OK();
-  }
-
-  Status Finish() override {
-    for (ClientReply& r : replies_) r.weight /= total_weight_;
-    return Status::OK();
-  }
-
-  [[nodiscard]] std::vector<ClientReply>& replies() { return replies_; }
-
- private:
-  std::vector<ClientReply> replies_;
-  double total_weight_ = 0.0;
-};
-
 /// The narrow interface the engine phases program against: "run one round,
 /// feed the replies into this consumer". `fl::Server` is the production
 /// implementation; phase unit tests substitute fakes that never touch a
-/// transport (see `FeedRoundResult`).
+/// transport.
 class RoundRunner {
  public:
   virtual ~RoundRunner() = default;
@@ -165,28 +126,12 @@ class RoundRunner {
   /// ReplyConsumer contract and returns the round's outcomes + trace.
   virtual Result<RoundSummary> RunRound(const RoundSpec& spec,
                                         ReplyConsumer& consumer) = 0;
-
-  /// Buffered convenience wrapper: runs the round through a
-  /// `CollectingConsumer` and returns the materialized `RoundResult`.
-  /// Implemented once on the base class; concrete runners that also
-  /// declare the streaming overload pull this in with
-  /// `using RoundRunner::RunRound;`.
-  Result<RoundResult> RunRound(const RoundSpec& spec);
 };
-
-/// Feeds an already-materialized `RoundResult` (whose weights are
-/// normalized, as RoundResult's contract requires) through `consumer` as if
-/// the round had run live: each reply in order, then `Finish`. Normalized
-/// weights are valid raw weights — the consumer's own renormalization is
-/// scale-invariant — so test fakes built on canned RoundResults keep
-/// working. Returns the result's outcomes + trace.
-Result<RoundSummary> FeedRoundResult(RoundResult result,
-                                     ReplyConsumer& consumer);
 
 /// Client indices participating in the round, ascending. Sampling is seeded
 /// by `spec.sampling_seed` alone; full participation (fraction = 1.0, the
-/// default) never consumes RNG state, so the legacy broadcast behavior needs
-/// no seed. At least one client is always sampled.
+/// default) never consumes RNG state, so a full round needs no seed. At
+/// least one client is always sampled.
 std::vector<size_t> SampleParticipants(const RoundSpec& spec, size_t num_clients);
 
 }  // namespace fedfc::fl

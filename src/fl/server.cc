@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/logging.h"
-#include "fl/aggregation.h"
 
 namespace fedfc::fl {
 namespace {
@@ -187,36 +186,6 @@ Result<RoundSummary> Server::RunRound(const RoundSpec& spec,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return summary;
-}
-
-Result<std::vector<ClientReply>> Server::Broadcast(const std::string& task,
-                                                   const Payload& request) {
-  RoundSpec spec(task, request);
-  FEDFC_ASSIGN_OR_RETURN(RoundResult result, RunRound(spec));
-  return std::move(result.replies);
-}
-
-Result<double> Server::AggregateScalar(const std::vector<ClientReply>& replies,
-                                       const std::string& key) {
-  ScalarAccumulator acc;
-  for (const auto& r : replies) {
-    FEDFC_ASSIGN_OR_RETURN(double v, r.payload.GetDouble(key));
-    acc.Add(r.weight, v);
-  }
-  return acc.Mean();
-}
-
-Result<std::vector<double>> Server::AggregateTensor(
-    const std::vector<ClientReply>& replies, const std::string& key) {
-  TensorAccumulator acc;
-  for (const auto& r : replies) {
-    FEDFC_ASSIGN_OR_RETURN(std::vector<double> t, r.payload.GetTensor(key));
-    if (!acc.Add(r.weight, t).ok()) {
-      return Status::InvalidArgument("aggregate: tensor size mismatch for " +
-                                     key);
-    }
-  }
-  return acc.Mean();
 }
 
 }  // namespace fedfc::fl

@@ -2,12 +2,10 @@
 #define FEDFC_FL_SERVER_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/result.h"
 #include "core/thread_pool.h"
-#include "fl/payload.h"
 #include "fl/round.h"
 #include "fl/transport.h"
 
@@ -29,8 +27,6 @@ namespace fedfc::fl {
 /// the consumed sequence — and every aggregate folded from it — is
 /// bit-identical to the sequential run no matter how many threads ran the
 /// round. `num_threads == 1` (the default) takes the plain sequential loop.
-/// With `participation_fraction = 1.0` and `max_retries = 0` (the
-/// RoundPolicy defaults) the round is bit-identical to the legacy Broadcast.
 class Server : public RoundRunner {
  public:
   /// `client_sizes[j]` = |D_j| for weight computation.
@@ -44,9 +40,6 @@ class Server : public RoundRunner {
   void set_num_threads(size_t num_threads);
   [[nodiscard]] size_t num_threads() const { return pool_ ? pool_->size() : 1; }
 
-  /// The buffered `RunRound(spec)` convenience from the base class.
-  using RoundRunner::RunRound;
-
   /// Runs one federated round as described by the spec, streaming successful
   /// replies into `consumer`. Fails when every sampled client fails, when
   /// fewer than `policy.min_success_fraction` of them succeed (partial
@@ -54,23 +47,6 @@ class Server : public RoundRunner {
   /// rejects a reply.
   Result<RoundSummary> RunRound(const RoundSpec& spec,
                                 ReplyConsumer& consumer) override;
-
-  /// Thin compatibility wrapper over the buffered RunRound with the default
-  /// policy (full participation, no retries): sends the task to all clients
-  /// and returns the successful replies.
-  Result<std::vector<ClientReply>> Broadcast(const std::string& task,
-                                             const Payload& request);
-
-  /// Weighted average of a scalar key across buffered replies — a
-  /// `ScalarAccumulator` fold (kept for callers that already hold a
-  /// RoundResult; streaming callers fold directly).
-  static Result<double> AggregateScalar(const std::vector<ClientReply>& replies,
-                                        const std::string& key);
-
-  /// Weighted element-wise average of a tensor key across buffered replies
-  /// (FedAvg) — a `TensorAccumulator` fold.
-  static Result<std::vector<double>> AggregateTensor(
-      const std::vector<ClientReply>& replies, const std::string& key);
 
   [[nodiscard]] TransportStats transport_stats() const { return transport_->stats(); }
   Transport& transport() { return *transport_; }

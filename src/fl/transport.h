@@ -32,7 +32,7 @@ struct TransportStats {
 /// Routes a task to one client and returns its reply. Concrete transports
 /// may add latency models or failure injection.
 ///
-/// Thread-safety contract (relied on by the parallel fl::Server::Broadcast):
+/// Thread-safety contract (relied on by the parallel fl::Server::RunRound):
 /// Execute may be called concurrently from multiple threads as long as every
 /// concurrent call targets a *distinct* client_index. Implementations must
 /// guard any state shared across clients (statistics, RNG streams); clients
@@ -45,7 +45,7 @@ class Transport {
   virtual Result<Payload> Execute(size_t client_index, const std::string& task,
                                   const Payload& request) = 0;
   /// Snapshot of the accumulated statistics (by value: the counters may be
-  /// updated concurrently while a broadcast is in flight).
+  /// updated concurrently while a round is in flight).
   virtual TransportStats stats() const = 0;
 };
 

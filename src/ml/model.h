@@ -17,7 +17,8 @@ namespace fedfc::ml {
 ///
 /// Models that support federated parameter averaging (linear models and
 /// neural networks) expose their parameters as a flat vector; tree ensembles
-/// do not and are aggregated by ensembling instead (see fl::AggregateModels).
+/// do not and are aggregated by ensembling instead (see
+/// automl::ModelBlobAccumulator).
 class Regressor {
  public:
   virtual ~Regressor() = default;

@@ -186,4 +186,36 @@ Result<Frame> ReadFrame(Socket& socket, int timeout_ms) {
   return frame;
 }
 
+Result<Frame> RoundTripFrame(Socket& socket, const Frame& request,
+                             int timeout_ms) {
+  Status sent = WriteFrame(socket, request, timeout_ms);
+  if (!sent.ok()) {
+    socket.Close();
+    return sent;
+  }
+  Result<Frame> reply = ReadFrame(socket, timeout_ms);
+  if (!reply.ok()) {
+    socket.Close();
+    return reply;
+  }
+  const bool answers =
+      (reply->type == FrameType::kReply || reply->type == FrameType::kError) &&
+      reply->client_index == request.client_index &&
+      reply->task == request.task;
+  if (!answers) {
+    socket.Close();
+    std::string message =
+        "frame stream out of sync: reply for slot " +
+        std::to_string(reply->client_index) + " task '" + reply->task +
+        "' to a request for slot " + std::to_string(request.client_index) +
+        " task '" + request.task + "'";
+    if (reply->type == FrameType::kError) {
+      message += ": " + ErrorFrameStatus(*reply).ToString();
+    }
+    return Status::Internal(message);
+  }
+  if (reply->type == FrameType::kError) return ErrorFrameStatus(*reply);
+  return reply;
+}
+
 }  // namespace fedfc::net

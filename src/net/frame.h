@@ -96,6 +96,18 @@ Status WriteFrame(Socket& socket, const Frame& frame, int timeout_ms);
 /// the header caps before allocating and the CRC after reading.
 Result<Frame> ReadFrame(Socket& socket, int timeout_ms);
 
+/// The client half of one request/reply exchange, shared by every client of
+/// a FrameServer: writes `request`, reads one frame, and checks that it
+/// answers the request — a kReply or kError frame echoing the request's
+/// slot and task. A kError answer comes back as its carried Status, and the
+/// connection stays usable. A failed write or read, or a frame that does
+/// not answer the request, closes `socket`: its stream may hold a partial
+/// frame or is out of sync (a stale reply, or the server's garbled-frame
+/// error reply, which echoes neither slot nor task), so the caller must
+/// reconnect.
+Result<Frame> RoundTripFrame(Socket& socket, const Frame& request,
+                             int timeout_ms);
+
 }  // namespace fedfc::net
 
 #endif  // FEDFC_NET_FRAME_H_

@@ -5,23 +5,6 @@
 
 namespace fedfc::net {
 
-namespace {
-
-std::vector<WorkerEndpoint> SingleClientWorkers(std::vector<Endpoint> endpoints) {
-  std::vector<WorkerEndpoint> workers;
-  workers.reserve(endpoints.size());
-  for (Endpoint& ep : endpoints) {
-    workers.push_back({std::move(ep.host), ep.port, 1});
-  }
-  return workers;
-}
-
-}  // namespace
-
-TcpTransport::TcpTransport(std::vector<Endpoint> endpoints,
-                           TcpTransportOptions options)
-    : TcpTransport(SingleClientWorkers(std::move(endpoints)), options) {}
-
 TcpTransport::TcpTransport(std::vector<WorkerEndpoint> endpoints,
                            TcpTransportOptions options)
     : endpoints_(std::move(endpoints)), options_(options) {
@@ -46,26 +29,7 @@ Result<Frame> TcpTransport::RoundTrip(size_t client_index,
     if (!connected.ok()) return connected.status();
     conn.socket = std::move(*connected);
   }
-  Status sent = WriteFrame(conn.socket, request, options_.io_timeout_ms);
-  if (!sent.ok()) {
-    conn.socket.Close();
-    return sent;
-  }
-  Result<Frame> reply = ReadFrame(conn.socket, options_.io_timeout_ms);
-  if (!reply.ok()) {
-    // The stream may hold a half-read frame — poison, reconnect next call.
-    conn.socket.Close();
-    return reply;
-  }
-  if (reply->client_index != request.client_index) {
-    // A mismatched echo means the request/reply pairing on this stream is
-    // broken (a stale frame from a previous failure): poison it.
-    conn.socket.Close();
-    return Status::Internal(
-        "transport: reply for slot " + std::to_string(reply->client_index) +
-        " to a request for slot " + std::to_string(request.client_index));
-  }
-  return reply;
+  return RoundTripFrame(conn.socket, request, options_.io_timeout_ms);
 }
 
 void TcpTransport::CountFailure(const Status& status) {
@@ -97,17 +61,6 @@ Result<fl::Payload> TcpTransport::Execute(size_t client_index,
   if (!reply.ok()) {
     CountFailure(reply.status());
     return reply.status();
-  }
-  if (reply->type == FrameType::kError) {
-    Status status = ErrorFrameStatus(*reply);
-    CountFailure(status);
-    return status;
-  }
-  if (reply->type != FrameType::kReply) {
-    Status status = Status::Internal("transport: unexpected frame type from client " +
-                                     std::to_string(client_index));
-    CountFailure(status);
-    return status;
   }
   {
     MutexLock lock(stats_mutex_);

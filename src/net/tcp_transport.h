@@ -14,17 +14,10 @@
 
 namespace fedfc::net {
 
-/// Where one federated client (a fedfc_worker process, or a WorkerServer
-/// thread in tests) is listening.
-struct Endpoint {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-};
-
-/// Where one worker process is listening, and how many clients it hosts.
-/// Global client indices map onto worker slots in declaration order: the
-/// first endpoint holds globals [0, num_clients), the next the following
-/// block, and so on.
+/// Where one worker (a fedfc_worker process, or a WorkerServer thread in
+/// tests) is listening, and how many clients it hosts. Global client indices
+/// map onto worker slots in declaration order: the first endpoint holds
+/// globals [0, num_clients), the next the following block, and so on.
 struct WorkerEndpoint {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
@@ -44,10 +37,12 @@ struct TcpTransportOptions {
 /// A worker may host many clients (WorkerEndpoint::num_clients); the frame
 /// header's client-index word selects the slot, so all of a worker's
 /// clients share its single connection. Connections are opened lazily on
-/// first use and re-opened lazily after any failure: a failed round-trip
-/// closes the (possibly poisoned) stream, classifies the fault into
-/// TransportStats (`timeouts` for missed deadlines, `failures` for
-/// everything else), and returns the error — the caller's RoundPolicy
+/// first use and re-opened lazily after the stream breaks: a failed send or
+/// receive, or a reply that does not echo the request's slot and task (the
+/// stream is out of sync), closes the connection (net::RoundTripFrame). Every
+/// failed execute — those, typed error replies, undecodable bodies — is
+/// classified into TransportStats (`timeouts` for missed deadlines,
+/// `failures` for everything else) and returned; the caller's RoundPolicy
 /// retry/backoff machinery then drives recovery, and the retry's Execute
 /// reconnects. Nothing here loops or sleeps.
 ///
@@ -58,12 +53,8 @@ struct TcpTransportOptions {
 /// worker's one-frame-at-a-time serve loop.
 class TcpTransport : public fl::Transport {
  public:
-  /// One single-client worker per endpoint (the original deployment shape).
-  explicit TcpTransport(std::vector<Endpoint> endpoints,
-                        TcpTransportOptions options = {});
-
-  /// Multi-client workers: each endpoint hosts a contiguous block of global
-  /// client indices, `num_clients` wide.
+  /// Each endpoint hosts a contiguous block of global client indices,
+  /// `num_clients` wide (1 by default: one worker per client).
   explicit TcpTransport(std::vector<WorkerEndpoint> endpoints,
                         TcpTransportOptions options = {});
 
@@ -98,9 +89,8 @@ class TcpTransport : public fl::Transport {
     uint32_t slot = 0;
   };
 
-  /// Sends `request` and reads one reply frame on the connection of the
-  /// worker hosting `client_index`, connecting first if needed. Any failure
-  /// closes the connection before returning.
+  /// net::RoundTripFrame on the connection of the worker hosting
+  /// `client_index`, connecting first if needed.
   Result<Frame> RoundTrip(size_t client_index, const Frame& request);
 
   /// Accounts one failed execute under the stats lock.

@@ -1,92 +1,31 @@
 #include "net/worker.h"
 
 #include "core/logging.h"
-#include "fl/payload.h"
 #include "fl/task_codec.h"
 
 namespace fedfc::net {
 
-Frame WorkerServer::HandleRequest(const Frame& request) {
-  if (request.client_index >= clients_.size()) {
-    Frame out = MakeErrorFrame(
-        request.task,
-        Status::InvalidArgument(
-            "worker: client index " + std::to_string(request.client_index) +
-            " out of range (hosting " + std::to_string(clients_.size()) + ")"));
-    out.client_index = request.client_index;
-    return out;
+Result<fl::Payload> WorkerServer::Handle(uint32_t slot, const std::string& task,
+                                         const fl::Payload& request) {
+  if (slot >= clients_.size()) {
+    return Status::InvalidArgument(
+        "worker: client index " + std::to_string(slot) +
+        " out of range (hosting " + std::to_string(clients_.size()) + ")");
   }
-  fl::Client* client = clients_[request.client_index];
-  Result<fl::Payload> decoded = fl::Payload::Deserialize(request.body);
-  if (!decoded.ok()) {
-    Frame out = MakeErrorFrame(request.task, decoded.status());
-    out.client_index = request.client_index;
-    return out;
+  fl::Client* client = clients_[slot];
+  if (task == fl::tasks::kNumExamples) {
+    return fl::NumExamplesReply{static_cast<int64_t>(client->num_examples())}
+        .ToPayload();
   }
-  Result<fl::Payload> reply =
-      request.task == fl::tasks::kNumExamples
-          ? Result<fl::Payload>(
-                fl::NumExamplesReply{
-                    static_cast<int64_t>(client->num_examples())}
-                    .ToPayload())
-          : client->Handle(request.task, *decoded);
-  if (!reply.ok()) {
-    Frame out = MakeErrorFrame(request.task, reply.status());
-    out.client_index = request.client_index;
-    return out;
-  }
-  Frame out;
-  out.type = FrameType::kReply;
-  out.client_index = request.client_index;
-  out.task = request.task;
-  out.body = reply->Serialize();
-  return out;
-}
-
-bool WorkerServer::ServeConnection(Socket conn) {
-  while (!stopped()) {
-    Status readable = conn.WaitReadable(options_.poll_interval_ms);
-    if (readable.code() == StatusCode::kDeadlineExceeded) continue;  // Idle.
-    if (!readable.ok()) return false;
-    Result<Frame> frame = ReadFrame(conn, options_.io_timeout_ms);
-    if (!frame.ok()) {
-      // EOF, a half-dead peer, or wire garbage: drop the connection and let
-      // the server reconnect. The lazy-reconnect transport treats this as
-      // one failed execute, which the round policy absorbs.
-      FEDFC_LOG(Debug) << "worker '" << clients_.front()->id()
-                       << "': dropping connection: " << frame.status();
-      return false;
-    }
-    if (frame->type == FrameType::kShutdown) return true;
-    Frame reply;
-    if (frame->type == FrameType::kRequest) {
-      reply = HandleRequest(*frame);
-    } else {
-      reply = MakeErrorFrame(
-          frame->task,
-          Status::InvalidArgument("worker: expected a request frame"));
-      reply.client_index = frame->client_index;
-    }
-    Status sent = WriteFrame(conn, reply, options_.io_timeout_ms);
-    if (!sent.ok()) {
-      FEDFC_LOG(Debug) << "worker '" << clients_.front()->id()
-                       << "': reply failed: " << sent;
-      return false;
-    }
-  }
-  return false;
+  return client->Handle(task, request);
 }
 
 Status WorkerServer::Serve() {
   FEDFC_CHECK(!clients_.empty());
   for (fl::Client* client : clients_) FEDFC_CHECK(client != nullptr);
-  while (!stopped()) {
-    Result<Socket> conn = listener_.Accept(options_.poll_interval_ms);
-    if (conn.status().code() == StatusCode::kDeadlineExceeded) continue;
-    if (!conn.ok()) return conn.status();
-    if (ServeConnection(std::move(*conn))) break;  // Shutdown frame.
-  }
-  return Status::OK();
+  return frames_.Serve(
+      [this](uint32_t slot, const std::string& task,
+             const fl::Payload& request) { return Handle(slot, task, request); });
 }
 
 }  // namespace fedfc::net

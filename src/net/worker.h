@@ -1,13 +1,13 @@
 #ifndef FEDFC_NET_WORKER_H_
 #define FEDFC_NET_WORKER_H_
 
-#include <atomic>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/result.h"
 #include "fl/client.h"
-#include "net/frame.h"
+#include "net/frame_server.h"
 #include "net/socket.h"
 
 namespace fedfc::net {
@@ -28,34 +28,33 @@ struct WorkerOptions {
 /// (slot 0), but a multiplexed worker lets a 1024-client federation run on
 /// a handful of processes.
 ///
-/// Lifecycle: `Serve` accepts one connection at a time and answers frames
-/// on it — `kRequest` frames are decoded, dispatched (the `__num_examples`
-/// control task is answered by the loop itself, everything else goes to
-/// the addressed client's `Handle`), and answered with a `kReply` or
-/// `kError` frame. An out-of-range client index is answered with an error
-/// frame, not a dropped connection — the server sees a typed per-call
-/// failure. A dropped or garbled connection sends the loop back to accept,
-/// so a server reconnecting after a fault finds the worker ready;
-/// `kShutdown` (or `RequestStop`, callable from any thread or a signal
-/// handler) ends the loop. One connection at a time is exactly the
-/// Transport contract: a given client is never driven concurrently — and
-/// since all of a worker's clients share its single connection, neither are
-/// two clients of the same worker.
+/// Lifecycle: `Serve` runs one net::FrameServer loop, so it accepts one
+/// connection at a time; the FrameServer failure contract decides what a
+/// bad frame costs. The worker itself only answers requests: the
+/// `__num_examples` control task from the addressed client's size,
+/// everything else through the client's `Handle`. An out-of-range slot is a
+/// typed error reply, not a dropped connection. `kShutdown` (or
+/// `RequestStop`, callable from any thread or a signal handler) ends the
+/// loop. One connection at a time is exactly the Transport contract: a
+/// given client is never driven concurrently — and since all of a worker's
+/// clients share its single connection, neither are two clients of the
+/// same worker.
 class WorkerServer {
  public:
   /// Single-client worker: the common one-process-per-client deployment.
   WorkerServer(Listener listener, fl::Client* client,
                WorkerOptions options = {})
-      : listener_(std::move(listener)), clients_({client}), options_(options) {}
+      : WorkerServer(std::move(listener), std::vector<fl::Client*>{client},
+                     options) {}
 
   /// Multiplexed worker hosting `clients[i]` at local slot `i`.
   WorkerServer(Listener listener, std::vector<fl::Client*> clients,
                WorkerOptions options = {})
-      : listener_(std::move(listener)),
-        clients_(std::move(clients)),
-        options_(options) {}
+      : frames_(std::move(listener), options.poll_interval_ms,
+                options.io_timeout_ms),
+        clients_(std::move(clients)) {}
 
-  [[nodiscard]] uint16_t port() const { return listener_.port(); }
+  [[nodiscard]] uint16_t port() const { return frames_.port(); }
   [[nodiscard]] size_t num_clients() const { return clients_.size(); }
 
   /// Blocks until a shutdown frame arrives or RequestStop is called.
@@ -63,26 +62,15 @@ class WorkerServer {
   Status Serve();
 
   /// Asks the serve loop to exit at its next idle poll. Lock-free and
-  /// async-signal-safe — which is why this flag is deliberately a
-  /// std::atomic and not fedfc::Mutex-guarded state: RequestStop must be
-  /// callable from a signal handler, where taking any lock is forbidden.
-  /// Everything else the serve loop touches (listener_, clients_, options_)
-  /// is immutable after construction, so the loop needs no capability at
-  /// all (see docs/STATIC_ANALYSIS.md, "Annotation policy").
-  void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
+  /// async-signal-safe (see FrameServer::RequestStop).
+  void RequestStop() { frames_.RequestStop(); }
 
  private:
-  [[nodiscard]] bool stopped() const { return stop_.load(std::memory_order_relaxed); }
+  Result<fl::Payload> Handle(uint32_t slot, const std::string& task,
+                             const fl::Payload& request);
 
-  /// Serves frames on one connection; true = shutdown frame received.
-  bool ServeConnection(Socket conn);
-
-  Frame HandleRequest(const Frame& request);
-
-  Listener listener_;
+  FrameServer frames_;
   std::vector<fl::Client*> clients_;
-  WorkerOptions options_;
-  std::atomic<bool> stop_{false};
 };
 
 }  // namespace fedfc::net

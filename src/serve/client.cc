@@ -17,17 +17,7 @@ Result<net::Frame> ServeClient::RoundTrip(const std::string& task,
   request.type = net::FrameType::kRequest;
   request.task = task;
   request.body = payload.Serialize();
-  FEDFC_RETURN_IF_ERROR(net::WriteFrame(socket_, request, timeout_ms_));
-  FEDFC_ASSIGN_OR_RETURN(net::Frame reply,
-                         net::ReadFrame(socket_, timeout_ms_));
-  if (reply.type == net::FrameType::kError) {
-    return net::ErrorFrameStatus(reply);
-  }
-  if (reply.type != net::FrameType::kReply || reply.task != task) {
-    return Status::InvalidArgument("serve client: mismatched reply frame for '" +
-                                   task + "'");
-  }
-  return reply;
+  return net::RoundTripFrame(socket_, request, timeout_ms_);
 }
 
 Result<fl::ForecastReply> ServeClient::Forecast(

@@ -15,7 +15,8 @@ namespace fedfc::serve {
 /// Blocking request/reply client for a ForecastServer — the counterpart the
 /// e2e tests, the load generator, and embedding applications use. One
 /// connection, one outstanding request at a time; error frames come back as
-/// their typed Status.
+/// their typed Status. A broken or out-of-sync stream closes the connection
+/// (net::RoundTripFrame); later calls fail until the caller reconnects.
 class ServeClient {
  public:
   static Result<ServeClient> Connect(const std::string& host, uint16_t port,
@@ -35,8 +36,7 @@ class ServeClient {
   ServeClient(net::Socket socket, int timeout_ms)
       : socket_(std::move(socket)), timeout_ms_(timeout_ms) {}
 
-  /// Sends one request frame for `task` and reads the reply; kError frames
-  /// surface as their carried Status.
+  /// net::RoundTripFrame for one request frame of `task`.
   Result<net::Frame> RoundTrip(const std::string& task,
                                const fl::Payload& payload);
 

@@ -17,7 +17,10 @@ using Clock = std::chrono::steady_clock;
 
 ForecastServer::ForecastServer(net::Listener listener, ForecastService* service,
                                ServeOptions options)
-    : listener_(std::move(listener)), service_(service), options_(options) {
+    : frames_(std::move(listener), options.poll_interval_ms,
+              options.io_timeout_ms),
+      service_(service),
+      options_(options) {
   options_.max_batch = std::max(options_.max_batch, 1);
   options_.max_connections = std::max<size_t>(options_.max_connections, 1);
 }
@@ -35,7 +38,17 @@ Status ForecastServer::Start() {
   pool_ = std::make_unique<ThreadPool>(n_jobs);
   jobs_.reserve(n_jobs);
   for (size_t i = 0; i < options_.max_connections; ++i) {
-    jobs_.push_back(pool_->Submit([this] { return ConnectionWorker(); }));
+    jobs_.push_back(pool_->Submit([this] {
+      Status served = frames_.Serve(
+          [this](uint32_t, const std::string& task,
+                 const fl::Payload& request) { return Handle(task, request); });
+      // A shutdown frame stops the frame loops; wake the batcher and the
+      // watcher now rather than at their next poll (a signal handler's
+      // RequestStop cannot notify).
+      cv_.NotifyAll();
+      watch_cv_.NotifyAll();
+      return served;
+    }));
   }
   jobs_.push_back(pool_->Submit([this] {
     BatcherLoop();
@@ -66,99 +79,25 @@ Status ForecastServer::Serve() {
   return Wait();
 }
 
-void ForecastServer::StopAndNotify() {
-  RequestStop();
-  cv_.NotifyAll();
-  watch_cv_.NotifyAll();
-}
-
 // ---------------------------------------------------------------------------
 // Connection side.
 // ---------------------------------------------------------------------------
 
-Status ForecastServer::ConnectionWorker() {
-  // All workers accept off the shared listener; its fd is non-blocking, so
-  // a wakeup lost to a sibling just re-polls (net/socket.cc, Accept).
-  while (!stopped()) {
-    Result<net::Socket> conn = listener_.Accept(options_.poll_interval_ms);
-    if (conn.status().code() == StatusCode::kDeadlineExceeded) continue;
-    if (!conn.ok()) return conn.status();
-    ServeConnection(std::move(*conn));
+Result<fl::Payload> ForecastServer::Handle(const std::string& task,
+                                           const fl::Payload& request) {
+  if (task == fl::tasks::kPing) {
+    return fl::PingReply{service_->CurrentVersion()}.ToPayload();
   }
-  return Status::OK();
-}
-
-void ForecastServer::ServeConnection(net::Socket conn) {
-  while (!stopped()) {
-    Status readable = conn.WaitReadable(options_.poll_interval_ms);
-    if (readable.code() == StatusCode::kDeadlineExceeded) continue;  // Idle.
-    if (!readable.ok()) return;  // Peer gone.
-    Result<net::Frame> frame = net::ReadFrame(conn, options_.io_timeout_ms);
-    if (!frame.ok()) {
-      // Garbled framing — bad magic, unknown protocol version, CRC
-      // mismatch, oversized declared lengths: answer with the typed decode
-      // error (best effort), then drop the connection, because the byte
-      // stream can no longer be trusted.
-      Status sent =
-          net::WriteFrame(conn, net::MakeErrorFrame("", frame.status()),
-                          options_.io_timeout_ms);
-      FEDFC_LOG(Debug) << "serve: dropping connection: " << frame.status()
-                       << (sent.ok() ? "" : " (error reply also failed)");
-      return;
-    }
-    if (frame->type == net::FrameType::kShutdown) {
-      StopAndNotify();
-      return;
-    }
-    net::Frame reply;
-    if (frame->type == net::FrameType::kRequest) {
-      reply = HandleRequest(*frame);
-    } else {
-      reply = net::MakeErrorFrame(
-          frame->task,
-          Status::InvalidArgument("serve: expected a request frame"));
-      reply.client_index = frame->client_index;
-    }
-    Status sent = net::WriteFrame(conn, reply, options_.io_timeout_ms);
-    if (!sent.ok()) {
-      FEDFC_LOG(Debug) << "serve: reply failed: " << sent;
-      return;
-    }
+  if (task == fl::tasks::kForecast) {
+    FEDFC_ASSIGN_OR_RETURN(fl::ForecastRequest decoded,
+                           fl::ForecastRequest::FromPayload(request));
+    FEDFC_ASSIGN_OR_RETURN(fl::ForecastReply forecast,
+                           ForecastBlocking(std::move(decoded)));
+    return forecast.ToPayload();
   }
-}
-
-net::Frame ForecastServer::HandleRequest(const net::Frame& request) {
-  auto error = [&request](const Status& status) {
-    net::Frame out = net::MakeErrorFrame(request.task, status);
-    out.client_index = request.client_index;
-    return out;
-  };
-  Result<fl::Payload> payload = fl::Payload::Deserialize(request.body);
-  if (!payload.ok()) return error(payload.status());
-
-  Result<fl::Payload> reply_payload = [&]() -> Result<fl::Payload> {
-    if (request.task == fl::tasks::kPing) {
-      return fl::PingReply{service_->CurrentVersion()}.ToPayload();
-    }
-    if (request.task == fl::tasks::kForecast) {
-      FEDFC_ASSIGN_OR_RETURN(fl::ForecastRequest decoded,
-                             fl::ForecastRequest::FromPayload(*payload));
-      FEDFC_ASSIGN_OR_RETURN(fl::ForecastReply forecast,
-                             ForecastBlocking(std::move(decoded)));
-      return forecast.ToPayload();
-    }
-    return Status::Unimplemented(
-        std::string("serve: unknown task '") + request.task + "' (handles: [" +
-        fl::tasks::kForecast + ", " + fl::tasks::kPing + "])");
-  }();
-  if (!reply_payload.ok()) return error(reply_payload.status());
-
-  net::Frame out;
-  out.type = net::FrameType::kReply;
-  out.client_index = request.client_index;
-  out.task = request.task;
-  out.body = reply_payload->Serialize();
-  return out;
+  return Status::Unimplemented(
+      std::string("serve: unknown task '") + task + "' (handles: [" +
+      fl::tasks::kForecast + ", " + fl::tasks::kPing + "])");
 }
 
 Result<fl::ForecastReply> ForecastServer::ForecastBlocking(

@@ -1,18 +1,18 @@
 #ifndef FEDFC_SERVE_SERVER_H_
 #define FEDFC_SERVE_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/result.h"
 #include "core/sync.h"
 #include "core/thread_pool.h"
 #include "fl/task_codec.h"
-#include "net/frame.h"
+#include "net/frame_server.h"
 #include "net/socket.h"
 #include "serve/registry.h"
 #include "serve/service.h"
@@ -25,7 +25,7 @@ struct ServeOptions {
   /// How long the batcher lingers for more requests once it has one. The
   /// throughput/latency dial: 0 = dispatch immediately.
   int batch_timeout_ms = 2;
-  /// Concurrent connections served (one reader job each).
+  /// Concurrent connections served (one frame loop each).
   size_t max_connections = 8;
   /// Granularity at which idle loops re-check the stop flag.
   int poll_interval_ms = 100;
@@ -42,18 +42,18 @@ struct ServeOptions {
 /// requests into single batched model evaluations.
 ///
 /// Shape: `Start` launches (on an internal ThreadPool) `max_connections`
-/// connection workers, one batcher, and — when a registry is attached — one
-/// watcher; `Wait` joins them. Each connection worker accepts one
-/// connection at a time off the shared listener and answers its frames:
-/// `__ping` inline, `forecast` by enqueueing the decoded request with a
-/// promise and blocking on the future (request/reply per connection, so one
-/// outstanding request per peer). The batcher drains up to `max_batch`
-/// requests after a `batch_timeout_ms` linger, snapshots the service ONCE,
-/// packs every row into one matrix, runs one `Forecast` call, and fulfills
-/// each promise with its slice — so a whole batch is answered by exactly
-/// one model version, and batching is bit-identical to sequential
-/// evaluation (row-independent Predict; see docs/ARCHITECTURE.md,
-/// "Serving").
+/// net::FrameServer loops, one batcher, and — when a registry is attached —
+/// one watcher; `Wait` joins them. Each frame loop accepts one connection
+/// at a time off the shared listener, under the FrameServer failure
+/// contract, and answers `__ping` inline and `forecast` by enqueueing the
+/// decoded request with a promise and blocking on the future
+/// (request/reply per connection, so one outstanding request per peer).
+/// The batcher drains up to `max_batch` requests after a
+/// `batch_timeout_ms` linger, snapshots the service ONCE, packs every row
+/// into one matrix, runs one `Forecast` call, and fulfills each promise
+/// with its slice — so a whole batch is answered by exactly one model
+/// version, and batching is bit-identical to sequential evaluation
+/// (row-independent Predict; see docs/ARCHITECTURE.md, "Serving").
 ///
 /// The watcher polls the registry for a newer committed version and
 /// installs it through ForecastService — the hot-swap path. A `kShutdown`
@@ -72,13 +72,13 @@ class ForecastServer {
   /// registry must outlive the server.
   void WatchRegistry(const ModelRegistry* registry) { registry_ = registry; }
 
-  [[nodiscard]] uint16_t port() const { return listener_.port(); }
+  [[nodiscard]] uint16_t port() const { return frames_.port(); }
 
   /// Launches the worker jobs and returns immediately. Must not be called
   /// from a thread inside another ThreadPool (nested submits run inline).
   Status Start();
 
-  /// Joins every job; returns the first connection-worker failure (a dead
+  /// Joins every job; returns the first frame-loop failure (a dead
   /// listener), OK otherwise. Blocks until RequestStop or a shutdown frame.
   Status Wait();
 
@@ -88,7 +88,7 @@ class ForecastServer {
   /// Asks every loop to exit at its next poll. Lock-free and
   /// async-signal-safe (an atomic store, nothing else) — callable from a
   /// SIGINT/SIGTERM handler. Loops observe it within poll_interval_ms.
-  void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
+  void RequestStop() { frames_.RequestStop(); }
 
  private:
   /// A decoded forecast request waiting for its batch, carrying the promise
@@ -98,17 +98,11 @@ class ForecastServer {
     std::promise<Result<fl::ForecastReply>> promise;
   };
 
-  [[nodiscard]] bool stopped() const {
-    return stop_.load(std::memory_order_relaxed);
-  }
-  /// In-process stop (shutdown frame): RequestStop plus the cv nudges a
-  /// signal handler is not allowed to make.
-  void StopAndNotify();
+  [[nodiscard]] bool stopped() const { return frames_.stopped(); }
 
-  Status ConnectionWorker();
-  void ServeConnection(net::Socket conn);
-  /// Answers one request frame; blocks on the batcher for forecasts.
-  net::Frame HandleRequest(const net::Frame& request);
+  /// The frame loops' handler; blocks on the batcher for forecasts.
+  Result<fl::Payload> Handle(const std::string& task,
+                             const fl::Payload& request);
   Result<fl::ForecastReply> ForecastBlocking(fl::ForecastRequest request);
 
   void BatcherLoop();
@@ -117,7 +111,7 @@ class ForecastServer {
 
   void WatcherLoop();
 
-  net::Listener listener_;
+  net::FrameServer frames_;
   ForecastService* service_;
   const ModelRegistry* registry_ = nullptr;
   ServeOptions options_;
@@ -129,13 +123,11 @@ class ForecastServer {
   /// request can never be stranded on an unfulfilled promise.
   bool queue_closed_ FEDFC_GUARDED_BY(mutex_) = false;
 
-  /// Watcher's private sleep: a timed wait lets StopAndNotify cut the nap
-  /// short while RequestStop (which cannot notify) is still bounded by the
-  /// poll cadence.
+  /// Watcher's private sleep: a timed wait lets a shutdown frame cut the
+  /// nap short while RequestStop (which cannot notify) is still bounded by
+  /// the poll cadence.
   Mutex watch_mutex_;
   CondVar watch_cv_;
-
-  std::atomic<bool> stop_{false};
 
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::future<Status>> jobs_;

@@ -6,6 +6,7 @@
 #include "data/generators.h"
 #include "fl/server.h"
 #include "fl/transport.h"
+#include "round_collector.h"
 
 namespace fedfc::automl {
 namespace {
@@ -151,11 +152,12 @@ TEST(ForecastClientTest, WorksThroughServerBroadcast) {
         "c" + std::to_string(j), s, ForecastClient::Options{}));
   }
   fl::Server server(std::make_unique<fl::InProcessTransport>(clients), sizes);
-  Result<std::vector<fl::ClientReply>> replies = server.Broadcast(
-      tasks::kFitEvaluate, SpecConfigRequest(BasicSpec(), LassoConfig()));
-  ASSERT_TRUE(replies.ok());
-  EXPECT_EQ(replies->size(), 3u);
-  Result<double> global = fl::Server::AggregateScalar(*replies, "valid_loss");
+  Result<fl::CollectedRound> round = fl::CollectRound(
+      server, fl::RoundSpec(tasks::kFitEvaluate,
+                            SpecConfigRequest(BasicSpec(), LassoConfig())));
+  ASSERT_TRUE(round.ok());
+  EXPECT_EQ(round->replies.size(), 3u);
+  Result<double> global = fl::AlphaWeightedMean(*round, "valid_loss");
   ASSERT_TRUE(global.ok());
   EXPECT_GE(*global, 0.0);
 }

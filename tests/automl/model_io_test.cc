@@ -89,11 +89,21 @@ TEST(ModelIoTest, SerializeRejectsUnfittedLinear) {
   EXPECT_FALSE(SerializeModel(config, **model).ok());
 }
 
+/// Folds `blobs` through ModelBlobAccumulator, as the final-fit round does.
+Result<std::vector<double>> FoldBlobs(
+    const Configuration& config, const std::vector<std::vector<double>>& blobs,
+    const std::vector<double>& weights) {
+  ModelBlobAccumulator acc(config);
+  for (size_t k = 0; k < blobs.size(); ++k) {
+    FEDFC_RETURN_IF_ERROR(acc.Add(weights[k], blobs[k]));
+  }
+  return acc.Finish();
+}
+
 TEST(AggregateBlobsTest, LinearBlobsAverage) {
   Configuration config = HuberConfig();
   std::vector<std::vector<double>> blobs = {{2.0, 4.0, 1.0}, {4.0, 8.0, 3.0}};
-  Result<std::vector<double>> merged =
-      AggregateModelBlobs(config, blobs, {0.5, 0.5});
+  Result<std::vector<double>> merged = FoldBlobs(config, blobs, {0.5, 0.5});
   ASSERT_TRUE(merged.ok());
   EXPECT_DOUBLE_EQ((*merged)[0], 3.0);
   EXPECT_DOUBLE_EQ((*merged)[1], 6.0);
@@ -103,8 +113,7 @@ TEST(AggregateBlobsTest, LinearBlobsAverage) {
 TEST(AggregateBlobsTest, UnnormalizedWeightsRenormalized) {
   Configuration config = HuberConfig();
   std::vector<std::vector<double>> blobs = {{2.0}, {4.0}};
-  Result<std::vector<double>> merged =
-      AggregateModelBlobs(config, blobs, {10.0, 30.0});
+  Result<std::vector<double>> merged = FoldBlobs(config, blobs, {10.0, 30.0});
   ASSERT_TRUE(merged.ok());
   EXPECT_DOUBLE_EQ((*merged)[0], 3.5);
 }
@@ -128,7 +137,7 @@ TEST(AggregateBlobsTest, XgbMergePredictionEquivalentToEnsemble) {
     models.push_back(std::move(*model));
   }
   std::vector<double> weights = {0.3, 0.7};
-  Result<std::vector<double>> merged = AggregateModelBlobs(config, blobs, weights);
+  Result<std::vector<double>> merged = FoldBlobs(config, blobs, weights);
   ASSERT_TRUE(merged.ok());
   Result<std::unique_ptr<ml::Regressor>> global =
       DeserializeModel(config, *merged);
@@ -144,11 +153,11 @@ TEST(AggregateBlobsTest, XgbMergePredictionEquivalentToEnsemble) {
 
 TEST(AggregateBlobsTest, RejectsBadInputs) {
   Configuration config = HuberConfig();
-  EXPECT_FALSE(AggregateModelBlobs(config, {}, {}).ok());
-  EXPECT_FALSE(AggregateModelBlobs(config, {{1.0}, {1.0, 2.0}}, {0.5, 0.5}).ok());
-  EXPECT_FALSE(AggregateModelBlobs(config, {{1.0}}, {0.0}).ok());
+  EXPECT_FALSE(FoldBlobs(config, {}, {}).ok());
+  EXPECT_FALSE(FoldBlobs(config, {{1.0}, {1.0, 2.0}}, {0.5, 0.5}).ok());
+  EXPECT_FALSE(FoldBlobs(config, {{1.0}}, {0.0}).ok());
   Configuration xgb = XgbConfig();
-  EXPECT_FALSE(AggregateModelBlobs(xgb, {{1.0}}, {1.0}).ok());  // Short blob.
+  EXPECT_FALSE(FoldBlobs(xgb, {{1.0}}, {1.0}).ok());  // Short blob.
 }
 
 // ---------------------------------------------------------------------------

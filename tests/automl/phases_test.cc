@@ -17,13 +17,17 @@
 namespace fedfc::automl::phases {
 namespace {
 
+/// A canned round: (raw |D_j| weight, payload) per replying client, in
+/// client-index order.
+using CannedReplies = std::vector<std::pair<double, fl::Payload>>;
+
 /// RoundRunner double: replies come from a responder function, never a
-/// transport. Records every spec so tests can assert on task ids and seeds.
-/// The responder still produces a buffered RoundResult for convenience; it is
-/// replayed through the consumer exactly like a streaming round would be.
+/// transport, and are replayed through the consumer exactly like a
+/// streaming round would deliver them. Records every spec so tests can
+/// assert on task ids and seeds.
 class FakeRoundRunner : public fl::RoundRunner {
  public:
-  using Responder = std::function<Result<fl::RoundResult>(const fl::RoundSpec&)>;
+  using Responder = std::function<Result<CannedReplies>(const fl::RoundSpec&)>;
 
   explicit FakeRoundRunner(Responder responder)
       : responder_(std::move(responder)) {}
@@ -31,8 +35,21 @@ class FakeRoundRunner : public fl::RoundRunner {
   Result<fl::RoundSummary> RunRound(const fl::RoundSpec& spec,
                                     fl::ReplyConsumer& consumer) override {
     specs.push_back(spec);
-    FEDFC_ASSIGN_OR_RETURN(fl::RoundResult result, responder_(spec));
-    return fl::FeedRoundResult(std::move(result), consumer);
+    FEDFC_ASSIGN_OR_RETURN(CannedReplies replies, responder_(spec));
+    fl::RoundSummary summary;
+    for (size_t j = 0; j < replies.size(); ++j) {
+      FEDFC_RETURN_IF_ERROR(consumer.Consume(
+          fl::ClientReply{j, replies[j].first, std::move(replies[j].second)}));
+      fl::ClientOutcome outcome;
+      outcome.client_index = j;
+      outcome.ok = true;
+      summary.outcomes.push_back(outcome);
+    }
+    FEDFC_RETURN_IF_ERROR(consumer.Finish());
+    summary.trace.sampled_clients = replies.size();
+    summary.trace.ok_clients = replies.size();
+    summary.trace.messages = replies.size();
+    return summary;
   }
 
   std::vector<fl::RoundSpec> specs;
@@ -40,29 +57,6 @@ class FakeRoundRunner : public fl::RoundRunner {
  private:
   Responder responder_;
 };
-
-/// Builds a successful RoundResult from (weight, payload) pairs; weights are
-/// renormalized like the real server does.
-fl::RoundResult MakeResult(std::vector<std::pair<double, fl::Payload>> replies) {
-  fl::RoundResult result;
-  double total = 0.0;
-  for (const auto& [w, _] : replies) total += w;
-  for (size_t j = 0; j < replies.size(); ++j) {
-    fl::ClientReply r;
-    r.client_index = j;
-    r.weight = replies[j].first / total;
-    r.payload = std::move(replies[j].second);
-    result.replies.push_back(std::move(r));
-    fl::ClientOutcome outcome;
-    outcome.client_index = j;
-    outcome.ok = true;
-    result.outcomes.push_back(outcome);
-  }
-  result.trace.sampled_clients = replies.size();
-  result.trace.ok_clients = replies.size();
-  result.trace.messages = replies.size();
-  return result;
-}
 
 ts::Series MakeSine(size_t length, double phase) {
   std::vector<double> values(length);
@@ -83,8 +77,8 @@ TEST(MetaPhaseTest, AggregatesFakeClientReplies) {
     return reply.ToPayload();
   };
   FakeRoundRunner runner([&](const fl::RoundSpec&) {
-    return MakeResult({{150.0, reply_for(MakeSine(150, 0.0))},
-                       {50.0, reply_for(MakeSine(50, 1.2))}});
+    return CannedReplies{{150.0, reply_for(MakeSine(150, 0.0))},
+                         {50.0, reply_for(MakeSine(50, 1.2))}};
   });
   Result<MetaPhaseOutput> out = RunMetaPhase(runner, PhaseRoundOptions{});
   ASSERT_TRUE(out.ok()) << out.status();
@@ -100,7 +94,7 @@ TEST(MetaPhaseTest, UndecodableReplyFailsThePhase) {
   FakeRoundRunner runner([](const fl::RoundSpec&) {
     fl::Payload bogus;
     bogus.SetDouble("wrong_key", 1.0);
-    return MakeResult({{1.0, bogus}});
+    return CannedReplies{{1.0, bogus}};
   });
   EXPECT_FALSE(RunMetaPhase(runner, PhaseRoundOptions{}).ok());
 }
@@ -113,7 +107,7 @@ TEST(FeaturePhaseTest, SpecDerivedFromAggregatedMetaFeatures) {
   input.aggregated = &agg;
   input.feature_selection = false;
   input.max_lags = 12;
-  FakeRoundRunner runner([](const fl::RoundSpec&) -> Result<fl::RoundResult> {
+  FakeRoundRunner runner([](const fl::RoundSpec&) -> Result<CannedReplies> {
     return Status::Internal("phase must not issue rounds");
   });
   Result<features::FeatureEngineeringSpec> spec =
@@ -145,7 +139,7 @@ TEST(FeaturePhaseTest, SelectionKeepsCoveringSubset) {
     importances[0] = 0.98;
     fl::FeatureImportanceReply reply;
     reply.importances = importances;
-    return MakeResult({{1.0, reply.ToPayload()}});
+    return CannedReplies{{1.0, reply.ToPayload()}};
   });
   Result<features::FeatureEngineeringSpec> spec =
       RunFeaturePhase(runner, input, PhaseRoundOptions{});
@@ -162,7 +156,7 @@ TEST(FeaturePhaseTest, FailedImportanceRoundIsBestEffort) {
   agg.global_lag_count = 4;
   FeaturePhaseInput input;
   input.aggregated = &agg;
-  FakeRoundRunner runner([](const fl::RoundSpec&) -> Result<fl::RoundResult> {
+  FakeRoundRunner runner([](const fl::RoundSpec&) -> Result<CannedReplies> {
     return Status::Internal("all clients failed");
   });
   Result<features::FeatureEngineeringSpec> spec =
@@ -195,7 +189,7 @@ TEST(OptimizePhaseTest, IterationCapAndBestTracking) {
     reply.valid_loss = static_cast<double>(4 - calls);
     reply.n_valid = 10;
     ++calls;
-    return MakeResult({{1.0, reply.ToPayload()}});
+    return CannedReplies{{1.0, reply.ToPayload()}};
   });
   Result<OptimizePhaseOutput> out = RunOptimizePhase(
       runner, BaseOptimizeInput(&rng, std::chrono::steady_clock::now()),
@@ -225,7 +219,7 @@ TEST(OptimizePhaseTest, WarmStartConfigsEvaluatedFromTheBack) {
     seen_configs.push_back(request->config);
     fl::FitEvaluateReply reply;
     reply.valid_loss = 1.0;
-    return MakeResult({{1.0, reply.ToPayload()}});
+    return CannedReplies{{1.0, reply.ToPayload()}};
   });
   OptimizePhaseInput input =
       BaseOptimizeInput(&rng, std::chrono::steady_clock::now());
@@ -244,11 +238,11 @@ TEST(OptimizePhaseTest, FailedRoundsCountAgainstIterationCap) {
   Rng rng(3);
   size_t calls = 0;
   FakeRoundRunner runner(
-      [&](const fl::RoundSpec&) -> Result<fl::RoundResult> {
+      [&](const fl::RoundSpec&) -> Result<CannedReplies> {
         if (calls++ < 2) return Status::Internal("round failed");
         fl::FitEvaluateReply reply;
         reply.valid_loss = 0.5;
-        return MakeResult({{1.0, reply.ToPayload()}});
+        return CannedReplies{{1.0, reply.ToPayload()}};
       });
   Result<OptimizePhaseOutput> out = RunOptimizePhase(
       runner, BaseOptimizeInput(&rng, std::chrono::steady_clock::now()),
@@ -260,7 +254,7 @@ TEST(OptimizePhaseTest, FailedRoundsCountAgainstIterationCap) {
 
 TEST(OptimizePhaseTest, NoObservationsIsDeadlineExceeded) {
   Rng rng(3);
-  FakeRoundRunner runner([](const fl::RoundSpec&) -> Result<fl::RoundResult> {
+  FakeRoundRunner runner([](const fl::RoundSpec&) -> Result<CannedReplies> {
     return Status::Internal("round failed");
   });
   Result<OptimizePhaseOutput> out = RunOptimizePhase(
@@ -279,7 +273,7 @@ TEST(FinalFitPhaseTest, AggregatesBlobsWithFedAvg) {
     fl::FitFinalReply b;
     b.model_blob = {3.0, 6.0};
     b.n_fit = 30;
-    return MakeResult({{10.0, a.ToPayload()}, {30.0, b.ToPayload()}});
+    return CannedReplies{{10.0, a.ToPayload()}, {30.0, b.ToPayload()}};
   });
   Configuration config;  // Linear family: blobs average element-wise.
   Result<std::vector<double>> blob = RunFinalFitPhase(
@@ -295,7 +289,7 @@ TEST(FinalFitPhaseTest, UndecodableReplyPropagates) {
   FakeRoundRunner runner([](const fl::RoundSpec&) {
     fl::Payload bogus;
     bogus.SetDouble("oops", 1.0);
-    return MakeResult({{1.0, bogus}});
+    return CannedReplies{{1.0, bogus}};
   });
   EXPECT_FALSE(RunFinalFitPhase(runner,
                                 features::FeatureEngineeringSpec().ToTensor(),
@@ -314,7 +308,7 @@ TEST(EvaluatePhaseTest, WeightedTestLoss) {
     a.test_loss = 2.0;
     fl::EvaluateModelReply b;
     b.test_loss = 4.0;
-    return MakeResult({{30.0, a.ToPayload()}, {10.0, b.ToPayload()}});
+    return CannedReplies{{30.0, a.ToPayload()}, {10.0, b.ToPayload()}};
   });
   Result<double> loss = RunEvaluatePhase(
       runner, features::FeatureEngineeringSpec().ToTensor(), Configuration(),

@@ -23,6 +23,7 @@
 #include "fl/round.h"
 #include "fl/server.h"
 #include "fl/transport.h"
+#include "round_collector.h"
 
 namespace fedfc::fl {
 namespace {
@@ -102,10 +103,10 @@ std::unique_ptr<Server> MakeThrowingServer(size_t n, size_t throw_at,
                                   std::vector<size_t>(n, 10), num_threads);
 }
 
-/// Runs one buffered round and reports whether it returned OK; lets
+/// Runs one collected round and reports whether it returned OK; lets
 /// EXPECT_THROW consume the [[nodiscard]] Result without discarding it.
 bool RunOneRound(Server& server, const RoundSpec& spec) {
-  Result<RoundResult> result = server.RunRound(spec);
+  Result<CollectedRound> result = CollectRound(server, spec);
   return result.ok();
 }
 
@@ -122,7 +123,7 @@ TEST(RoundExceptionTest, PooledRoundDrainsInFlightTasksBeforeUnwinding) {
 
   // The pool and transport survived the unwind: the next round (the
   // injected throw is spent) completes over all 32 clients.
-  Result<RoundResult> retry = server->RunRound(spec);
+  Result<CollectedRound> retry = CollectRound(*server, spec);
   ASSERT_TRUE(retry.ok());
   EXPECT_EQ(retry->replies.size(), 32u);
   EXPECT_EQ(retry->trace.ok_clients, 32u);
@@ -135,7 +136,7 @@ TEST(RoundExceptionTest, SequentialRoundPropagatesTheSameException) {
   EXPECT_THROW(ok = RunOneRound(*server, spec), std::runtime_error);
   EXPECT_FALSE(ok);
 
-  Result<RoundResult> retry = server->RunRound(spec);
+  Result<CollectedRound> retry = CollectRound(*server, spec);
   ASSERT_TRUE(retry.ok());
   EXPECT_EQ(retry->replies.size(), 8u);
 }
@@ -150,7 +151,7 @@ TEST(RoundExceptionTest, RepeatedThrowsNeverWedgeThePool) {
     EXPECT_THROW(ok = RunOneRound(*server, spec), std::runtime_error);
     EXPECT_FALSE(ok);
   }
-  Result<RoundResult> final_round = server->RunRound(spec);
+  Result<CollectedRound> final_round = CollectRound(*server, spec);
   ASSERT_TRUE(final_round.ok());
   EXPECT_EQ(final_round->replies.size(), 16u);
 }

@@ -10,6 +10,7 @@
 
 #include "fl/server.h"
 #include "fl/transport.h"
+#include "round_collector.h"
 
 namespace fedfc::fl {
 namespace {
@@ -116,39 +117,13 @@ TEST(SampleParticipantsTest, TinyFractionStillSamplesOneClient) {
   EXPECT_EQ(SampleParticipants(spec, 10).size(), 1u);
 }
 
-TEST(RoundTest, DefaultPolicyMatchesBroadcastBitForBit) {
-  // The legacy Broadcast and a default-policy RunRound must agree byte-for-
-  // byte at every thread count (the PR's compatibility contract).
-  for (size_t num_threads : {1u, 4u}) {
-    auto a = MakeServer({1.5, 2.5, 3.5}, {30, 10, 20}, num_threads);
-    auto b = MakeServer({1.5, 2.5, 3.5}, {30, 10, 20}, num_threads);
-    Result<std::vector<ClientReply>> broadcast = a->Broadcast("any", Payload());
-    Result<RoundResult> round = b->RunRound(RoundSpec("any", Payload()));
-    ASSERT_TRUE(broadcast.ok());
-    ASSERT_TRUE(round.ok());
-    ASSERT_EQ(broadcast->size(), round->replies.size());
-    for (size_t j = 0; j < broadcast->size(); ++j) {
-      EXPECT_EQ((*broadcast)[j].client_index, round->replies[j].client_index);
-      EXPECT_DOUBLE_EQ((*broadcast)[j].weight, round->replies[j].weight);
-      EXPECT_EQ((*broadcast)[j].payload.Serialize(),
-                round->replies[j].payload.Serialize());
-    }
-    // Identical transport traffic on both paths.
-    TransportStats sa = a->transport_stats();
-    TransportStats sb = b->transport_stats();
-    EXPECT_EQ(sa.messages, sb.messages);
-    EXPECT_EQ(sa.bytes_to_clients, sb.bytes_to_clients);
-    EXPECT_EQ(sa.bytes_to_server, sb.bytes_to_server);
-  }
-}
-
 TEST(RoundTest, InvalidParticipationFractionRejected) {
   auto server = MakeServer({1.0}, {10});
   RoundSpec spec("any", Payload());
   spec.policy.participation_fraction = 0.0;
-  EXPECT_FALSE(server->RunRound(spec).ok());
+  EXPECT_FALSE(CollectRound(*server, spec).ok());
   spec.policy.participation_fraction = 1.5;
-  EXPECT_FALSE(server->RunRound(spec).ok());
+  EXPECT_FALSE(CollectRound(*server, spec).ok());
 }
 
 TEST(RoundTest, SampledSubsetRenormalizesWeights) {
@@ -157,22 +132,24 @@ TEST(RoundTest, SampledSubsetRenormalizesWeights) {
   RoundSpec spec("any", Payload());
   spec.policy.participation_fraction = 0.5;
   spec.sampling_seed = 7;
-  Result<RoundResult> round = server->RunRound(spec);
+  Result<CollectedRound> round = CollectRound(*server, spec);
   ASSERT_TRUE(round.ok());
   ASSERT_EQ(round->replies.size(), 3u);
   EXPECT_EQ(round->trace.sampled_clients, 3u);
   EXPECT_EQ(round->trace.messages, 3u);  // Unsampled clients see no traffic.
   double total = 0.0;
-  for (const auto& r : round->replies) total += r.weight;
+  for (size_t i = 0; i < round->replies.size(); ++i) total += round->alpha(i);
   EXPECT_NEAR(total, 1.0, 1e-12);
-  // Each weight is |D_j| over the sampled total, not the population total.
+  // Each alpha_j is |D_j| over the sampled total, not the population total.
   size_t sampled_examples = 0;
   for (const auto& r : round->replies) {
     sampled_examples += (r.client_index + 1) * 10;
   }
-  for (const auto& r : round->replies) {
-    EXPECT_NEAR(r.weight,
-                static_cast<double>((r.client_index + 1) * 10) /
+  for (size_t i = 0; i < round->replies.size(); ++i) {
+    const size_t j = round->replies[i].client_index;
+    EXPECT_EQ(round->replies[i].weight, static_cast<double>((j + 1) * 10));
+    EXPECT_NEAR(round->alpha(i),
+                static_cast<double>((j + 1) * 10) /
                     static_cast<double>(sampled_examples),
                 1e-12);
   }
@@ -180,7 +157,8 @@ TEST(RoundTest, SampledSubsetRenormalizesWeights) {
 
 TEST(RoundTest, AllClientsFailingIsError) {
   auto server = MakeServer({1.0, 2.0}, {10, 10});
-  Result<RoundResult> round = server->RunRound(RoundSpec("fail", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("fail", Payload()));
   ASSERT_FALSE(round.ok());
   EXPECT_NE(round.status().ToString().find("all clients failed"),
             std::string::npos);
@@ -199,13 +177,13 @@ TEST(RoundTest, RetriedClientContributesExactlyOnce) {
                 sizes);
   RoundSpec spec("any", Payload());
   spec.policy.max_retries = 2;
-  Result<RoundResult> round = server.RunRound(spec);
+  Result<CollectedRound> round = CollectRound(server, spec);
   ASSERT_TRUE(round.ok());
   // Every client dropped once, retried, and landed exactly one reply with
   // the full-participation weights.
   ASSERT_EQ(round->replies.size(), 2u);
-  EXPECT_NEAR(round->replies[0].weight, 0.75, 1e-12);
-  EXPECT_NEAR(round->replies[1].weight, 0.25, 1e-12);
+  EXPECT_NEAR(round->alpha(0), 0.75, 1e-12);
+  EXPECT_NEAR(round->alpha(1), 0.25, 1e-12);
   EXPECT_EQ(round->trace.retries, 2u);
   ASSERT_EQ(round->outcomes.size(), 2u);
   for (const auto& outcome : round->outcomes) {
@@ -234,7 +212,7 @@ TEST(RoundTest, RetryBudgetExhaustedMarksClientFailed) {
                 sizes);
   RoundSpec spec("any", Payload());
   spec.policy.max_retries = 1;
-  EXPECT_FALSE(server.RunRound(spec).ok());
+  EXPECT_FALSE(CollectRound(server, spec).ok());
 }
 
 TEST(RoundTest, MinSuccessFractionRejectsTooPartialRounds) {
@@ -243,7 +221,7 @@ TEST(RoundTest, MinSuccessFractionRejectsTooPartialRounds) {
                               {false, true, false});
   RoundSpec spec("any", Payload());
   spec.policy.min_success_fraction = 0.6;
-  Result<RoundResult> round = ok_server->RunRound(spec);
+  Result<CollectedRound> round = CollectRound(*ok_server, spec);
   ASSERT_TRUE(round.ok());  // 2/3 >= 0.6.
   EXPECT_EQ(round->trace.ok_clients, 2u);
   EXPECT_EQ(round->trace.failed_clients, 1u);
@@ -251,7 +229,7 @@ TEST(RoundTest, MinSuccessFractionRejectsTooPartialRounds) {
   auto strict_server = MakeServer({1.0, 2.0, 3.0}, {10, 10, 10}, 1,
                                   {false, true, false});
   spec.policy.min_success_fraction = 0.9;
-  Result<RoundResult> strict = strict_server->RunRound(spec);
+  Result<CollectedRound> strict = CollectRound(*strict_server, spec);
   ASSERT_FALSE(strict.ok());  // 2/3 < 0.9.
   EXPECT_NE(strict.status().ToString().find("below success threshold"),
             std::string::npos);
@@ -259,7 +237,8 @@ TEST(RoundTest, MinSuccessFractionRejectsTooPartialRounds) {
 
 TEST(RoundTest, TraceAccountsMessagesAndBytes) {
   auto server = MakeServer({1.0, 2.0, 3.0}, {10, 10, 10});
-  Result<RoundResult> round = server->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round->trace.sampled_clients, 3u);
   EXPECT_EQ(round->trace.ok_clients, 3u);
@@ -269,7 +248,8 @@ TEST(RoundTest, TraceAccountsMessagesAndBytes) {
   EXPECT_GT(round->trace.bytes_to_server, 0u);
   EXPECT_GE(round->trace.wall_seconds, 0.0);
   // A second round accumulates fresh deltas, not the running totals.
-  Result<RoundResult> second = server->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> second =
+      CollectRound(*server, RoundSpec("any", Payload()));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->trace.messages, 3u);
 }
@@ -277,7 +257,8 @@ TEST(RoundTest, TraceAccountsMessagesAndBytes) {
 TEST(RoundTest, FailedExecutesCountInTransportStats) {
   auto server = MakeServer({1.0, 2.0, 3.0}, {10, 10, 10}, 1,
                            {false, true, false});
-  Result<RoundResult> round = server->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   // A handler error is a generic failure, not a timeout: the two counters
   // are disjoint, in the stats and in the round's trace deltas.
@@ -303,7 +284,8 @@ TEST(RoundTest, TimedOutHandlerCountsAsTimeout) {
       std::make_shared<SlowClient>()};
   Server server(std::make_unique<InProcessTransport>(std::move(clients)),
                 {10, 10});
-  Result<RoundResult> round = server.RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(server.transport_stats().timeouts, 1u);
   EXPECT_EQ(server.transport_stats().failures, 0u);
@@ -322,7 +304,8 @@ TEST(RoundTest, FlakyTransportReportsInjectedFailures) {
   auto inner = std::make_unique<InProcessTransport>(std::move(clients));
   Server server(std::make_unique<FlakyTransport>(std::move(inner), 0.4, 7),
                 sizes);
-  Result<RoundResult> round = server.RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   // With rate 0.4 over 20 clients some injections are certain for this seed;
   // the decorator must surface them even though the inner transport never

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "fl/transport.h"
+#include "round_collector.h"
 
 namespace fedfc::fl {
 namespace {
@@ -60,40 +61,44 @@ TEST(ServerTest, BroadcastReachesAllClients) {
   auto server = MakeServer({1.0, 2.0, 3.0}, {10, 10, 10});
   Payload request;
   request.SetString("echo", "hi");
-  Result<std::vector<ClientReply>> replies = server->Broadcast("any", request);
-  ASSERT_TRUE(replies.ok());
-  EXPECT_EQ(replies->size(), 3u);
-  for (const auto& r : *replies) {
-    EXPECT_EQ(*r.payload.GetString("echo"), "hi");
-    EXPECT_NEAR(r.weight, 1.0 / 3.0, 1e-12);
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", request));
+  ASSERT_TRUE(round.ok());
+  EXPECT_EQ(round->replies.size(), 3u);
+  for (size_t i = 0; i < round->replies.size(); ++i) {
+    EXPECT_EQ(*round->replies[i].payload.GetString("echo"), "hi");
+    EXPECT_NEAR(round->alpha(i), 1.0 / 3.0, 1e-12);
   }
 }
 
 TEST(ServerTest, WeightsFollowClientSizes) {
   auto server = MakeServer({1.0, 2.0}, {30, 10});
-  Result<std::vector<ClientReply>> replies =
-      server->Broadcast("any", Payload());
-  ASSERT_TRUE(replies.ok());
-  EXPECT_NEAR((*replies)[0].weight, 0.75, 1e-12);
-  EXPECT_NEAR((*replies)[1].weight, 0.25, 1e-12);
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
+  ASSERT_TRUE(round.ok());
+  // Consumers see the raw |D_j|; Equation 1 renormalizes over respondents.
+  EXPECT_EQ(round->replies[0].weight, 30.0);
+  EXPECT_EQ(round->replies[1].weight, 10.0);
+  EXPECT_NEAR(round->alpha(0), 0.75, 1e-12);
+  EXPECT_NEAR(round->alpha(1), 0.25, 1e-12);
 }
 
 TEST(ServerTest, AggregateScalarIsWeightedMean) {
   auto server = MakeServer({1.0, 5.0}, {30, 10});
-  Result<std::vector<ClientReply>> replies =
-      server->Broadcast("any", Payload());
-  ASSERT_TRUE(replies.ok());
-  Result<double> agg = Server::AggregateScalar(*replies, "value");
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
+  ASSERT_TRUE(round.ok());
+  Result<double> agg = AlphaWeightedMean(*round, "value");
   ASSERT_TRUE(agg.ok());
   EXPECT_NEAR(*agg, 0.75 * 1.0 + 0.25 * 5.0, 1e-12);
 }
 
 TEST(ServerTest, AggregateTensorIsElementwiseWeightedMean) {
   auto server = MakeServer({1.0, 3.0}, {10, 10});
-  Result<std::vector<ClientReply>> replies =
-      server->Broadcast("any", Payload());
-  ASSERT_TRUE(replies.ok());
-  Result<std::vector<double>> agg = Server::AggregateTensor(*replies, "vec");
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
+  ASSERT_TRUE(round.ok());
+  Result<std::vector<double>> agg = AlphaWeightedTensorMean(*round, "vec");
   ASSERT_TRUE(agg.ok());
   EXPECT_NEAR((*agg)[0], 2.0, 1e-12);
   EXPECT_NEAR((*agg)[1], 4.0, 1e-12);
@@ -101,13 +106,13 @@ TEST(ServerTest, AggregateTensorIsElementwiseWeightedMean) {
 
 TEST(ServerTest, AllClientsFailingIsError) {
   auto server = MakeServer({1.0, 2.0}, {10, 10});
-  EXPECT_FALSE(server->Broadcast("fail", Payload()).ok());
+  EXPECT_FALSE(CollectRound(*server, RoundSpec("fail", Payload())).ok());
 }
 
 TEST(ServerTest, TransportStatsAccumulate) {
   auto server = MakeServer({1.0}, {10});
   EXPECT_EQ(server->transport_stats().messages, 0u);
-  ASSERT_TRUE(server->Broadcast("any", Payload()).ok());
+  ASSERT_TRUE(CollectRound(*server, RoundSpec("any", Payload())).ok());
   EXPECT_EQ(server->transport_stats().messages, 1u);
   EXPECT_GT(server->transport_stats().bytes_to_server, 0u);
 }
@@ -128,14 +133,15 @@ TEST(ConcurrentServerTest, RepliesArriveInClientIndexOrder) {
   Server server(std::make_unique<InProcessTransport>(std::move(clients)), sizes,
                 /*num_threads=*/4);
   EXPECT_EQ(server.num_threads(), 4u);
-  Result<std::vector<ClientReply>> replies = server.Broadcast("any", Payload());
-  ASSERT_TRUE(replies.ok());
-  ASSERT_EQ(replies->size(), kN);
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
+  ASSERT_TRUE(round.ok());
+  ASSERT_EQ(round->replies.size(), kN);
   for (size_t j = 0; j < kN; ++j) {
-    EXPECT_EQ((*replies)[j].client_index, j);
-    EXPECT_DOUBLE_EQ(*(*replies)[j].payload.GetDouble("value"),
+    EXPECT_EQ(round->replies[j].client_index, j);
+    EXPECT_DOUBLE_EQ(*round->replies[j].payload.GetDouble("value"),
                      static_cast<double>(j));
-    EXPECT_NEAR((*replies)[j].weight, 1.0 / kN, 1e-12);
+    EXPECT_NEAR(round->alpha(j), 1.0 / kN, 1e-12);
   }
 }
 
@@ -153,19 +159,21 @@ TEST(ConcurrentServerTest, MatchesSequentialBroadcast) {
   };
   auto sequential = make(1);
   auto parallel = make(4);
-  Result<std::vector<ClientReply>> a = sequential->Broadcast("any", Payload());
-  Result<std::vector<ClientReply>> b = parallel->Broadcast("any", Payload());
+  Result<CollectedRound> a =
+      CollectRound(*sequential, RoundSpec("any", Payload()));
+  Result<CollectedRound> b =
+      CollectRound(*parallel, RoundSpec("any", Payload()));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), b->size());
-  for (size_t j = 0; j < a->size(); ++j) {
-    EXPECT_EQ((*a)[j].client_index, (*b)[j].client_index);
-    EXPECT_DOUBLE_EQ((*a)[j].weight, (*b)[j].weight);
-    EXPECT_DOUBLE_EQ(*(*a)[j].payload.GetDouble("value"),
-                     *(*b)[j].payload.GetDouble("value"));
+  ASSERT_EQ(a->replies.size(), b->replies.size());
+  for (size_t j = 0; j < a->replies.size(); ++j) {
+    EXPECT_EQ(a->replies[j].client_index, b->replies[j].client_index);
+    EXPECT_DOUBLE_EQ(a->replies[j].weight, b->replies[j].weight);
+    EXPECT_DOUBLE_EQ(*a->replies[j].payload.GetDouble("value"),
+                     *b->replies[j].payload.GetDouble("value"));
   }
-  Result<double> agg_a = Server::AggregateScalar(*a, "value");
-  Result<double> agg_b = Server::AggregateScalar(*b, "value");
+  Result<double> agg_a = AlphaWeightedMean(*a, "value");
+  Result<double> agg_b = AlphaWeightedMean(*b, "value");
   ASSERT_TRUE(agg_a.ok());
   ASSERT_TRUE(agg_b.ok());
   EXPECT_DOUBLE_EQ(*agg_a, *agg_b);
@@ -182,18 +190,19 @@ TEST(ConcurrentServerTest, PartialParticipationStillAggregates) {
   }
   Server server(std::make_unique<InProcessTransport>(std::move(clients)), sizes,
                 /*num_threads=*/4);
-  Result<std::vector<ClientReply>> replies = server.Broadcast("any", Payload());
-  ASSERT_TRUE(replies.ok());
-  ASSERT_EQ(replies->size(), 3u);
-  EXPECT_EQ((*replies)[0].client_index, 0u);
-  EXPECT_EQ((*replies)[1].client_index, 1u);
-  EXPECT_EQ((*replies)[2].client_index, 3u);
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
+  ASSERT_TRUE(round.ok());
+  ASSERT_EQ(round->replies.size(), 3u);
+  EXPECT_EQ(round->replies[0].client_index, 0u);
+  EXPECT_EQ(round->replies[1].client_index, 1u);
+  EXPECT_EQ(round->replies[2].client_index, 3u);
   double total = 0.0;
-  for (const auto& r : *replies) total += r.weight;
+  for (size_t i = 0; i < round->replies.size(); ++i) total += round->alpha(i);
   EXPECT_NEAR(total, 1.0, 1e-12);
   // Weights renormalize over the 70 responding examples.
-  EXPECT_NEAR((*replies)[2].weight, 40.0 / 70.0, 1e-12);
-  Result<double> agg = Server::AggregateScalar(*replies, "value");
+  EXPECT_NEAR(round->alpha(2), 40.0 / 70.0, 1e-12);
+  Result<double> agg = AlphaWeightedMean(*round, "value");
   ASSERT_TRUE(agg.ok());
   EXPECT_NEAR(*agg, (10.0 * 0 + 20.0 * 1 + 40.0 * 3) / 70.0, 1e-12);
 }
@@ -207,7 +216,7 @@ TEST(ConcurrentServerTest, AllClientsFailingIsStillError) {
   }
   Server server(std::make_unique<InProcessTransport>(std::move(clients)), sizes,
                 /*num_threads=*/3);
-  EXPECT_FALSE(server.Broadcast("fail", Payload()).ok());
+  EXPECT_FALSE(CollectRound(server, RoundSpec("fail", Payload())).ok());
 }
 
 TEST(ConcurrentServerTest, TransportStatsCountEveryMessage) {
@@ -221,8 +230,8 @@ TEST(ConcurrentServerTest, TransportStatsCountEveryMessage) {
   }
   Server server(std::make_unique<InProcessTransport>(std::move(clients)), sizes,
                 /*num_threads=*/4);
-  ASSERT_TRUE(server.Broadcast("any", Payload()).ok());
-  ASSERT_TRUE(server.Broadcast("any", Payload()).ok());
+  ASSERT_TRUE(CollectRound(server, RoundSpec("any", Payload())).ok());
+  ASSERT_TRUE(CollectRound(server, RoundSpec("any", Payload())).ok());
   TransportStats stats = server.transport_stats();
   EXPECT_EQ(stats.messages, 2 * kN);
   EXPECT_GT(stats.bytes_to_server, 0u);
@@ -233,10 +242,10 @@ TEST(ConcurrentServerTest, SetNumThreadsSwitchesModes) {
   EXPECT_EQ(server->num_threads(), 1u);
   server->set_num_threads(4);
   EXPECT_EQ(server->num_threads(), 4u);
-  ASSERT_TRUE(server->Broadcast("any", Payload()).ok());
+  ASSERT_TRUE(CollectRound(*server, RoundSpec("any", Payload())).ok());
   server->set_num_threads(1);
   EXPECT_EQ(server->num_threads(), 1u);
-  ASSERT_TRUE(server->Broadcast("any", Payload()).ok());
+  ASSERT_TRUE(CollectRound(*server, RoundSpec("any", Payload())).ok());
 }
 
 TEST(TransportTest, OutOfRangeClientIndex) {
@@ -256,13 +265,14 @@ TEST(FlakyTransportTest, PartialFailuresTolerated) {
   }
   auto inner = std::make_unique<InProcessTransport>(std::move(clients));
   Server server(std::make_unique<FlakyTransport>(std::move(inner), 0.4, 7), sizes);
-  Result<std::vector<ClientReply>> replies = server.Broadcast("any", Payload());
-  ASSERT_TRUE(replies.ok());
-  EXPECT_LT(replies->size(), 10u);  // Some failed...
-  EXPECT_GE(replies->size(), 1u);   // ...but not all.
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
+  ASSERT_TRUE(round.ok());
+  EXPECT_LT(round->replies.size(), 10u);  // Some failed...
+  EXPECT_GE(round->replies.size(), 1u);   // ...but not all.
   // Remaining weights renormalize to 1.
   double total = 0.0;
-  for (const auto& r : *replies) total += r.weight;
+  for (size_t i = 0; i < round->replies.size(); ++i) total += round->alpha(i);
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 

@@ -1,8 +1,9 @@
 /// Property tests for the streaming reply pipeline: consumer-based
-/// aggregation must be observably identical to the legacy buffered
-/// RoundResult path across seeded federation shapes, failure patterns, and
-/// thread counts — the bit-identity contract the O(1)-memory refactor rides
-/// on. Flaky-transport comparisons hold the Execute call order fixed
+/// aggregation on raw |D_j| weights must be observably identical to
+/// buffering the whole round and aggregating with renormalized weights
+/// across seeded federation shapes, failure patterns, and thread counts —
+/// the bit-identity contract the O(1)-memory round rides on.
+/// Flaky-transport comparisons hold the Execute call order fixed
 /// (sequential servers, same seed): FlakyTransport's shared RNG assigns
 /// failures by call order, so only an order-preserving pair of runs sees
 /// the same fault pattern.
@@ -20,6 +21,7 @@
 #include "fl/round.h"
 #include "fl/server.h"
 #include "fl/transport.h"
+#include "round_collector.h"
 
 namespace fedfc::fl {
 namespace {
@@ -194,19 +196,20 @@ TEST(StreamingEquivalenceTest, BufferedOverloadMatchesLegacyRenormalization) {
   for (uint64_t seed : {5u, 6u, 7u}) {
     for (bool with_failures : {false, true}) {
       FederationShape shape = FederationShape::Make(seed, with_failures);
-      Result<RoundResult> round =
-          shape.MakeServer(1)->RunRound(PermissiveSpec());
+      Result<CollectedRound> round =
+          CollectRound(*shape.MakeServer(1), PermissiveSpec());
       ASSERT_TRUE(round.ok()) << round.status();
 
-      // Weights must be the respondents' sizes renormalized in ascending
+      // alpha_j must be the respondents' sizes renormalized in ascending
       // index order — the exact arithmetic the pre-streaming server used.
       double total = 0.0;
       for (const ClientReply& r : round->replies) {
         total += static_cast<double>(shape.sizes[r.client_index]);
       }
-      for (const ClientReply& r : round->replies) {
-        EXPECT_DOUBLE_EQ(
-            r.weight, static_cast<double>(shape.sizes[r.client_index]) / total);
+      for (size_t i = 0; i < round->replies.size(); ++i) {
+        const size_t j = round->replies[i].client_index;
+        EXPECT_DOUBLE_EQ(round->alpha(i),
+                         static_cast<double>(shape.sizes[j]) / total);
       }
     }
   }
@@ -218,15 +221,14 @@ TEST(StreamingEquivalenceTest, StreamingFoldsMatchBufferedAggregation) {
       for (size_t num_threads : {1u, 4u}) {
         FederationShape shape = FederationShape::Make(seed, with_failures);
 
-        Result<RoundResult> buffered =
-            shape.MakeServer(num_threads)->RunRound(PermissiveSpec());
+        Result<CollectedRound> buffered =
+            CollectRound(*shape.MakeServer(num_threads), PermissiveSpec());
         ASSERT_TRUE(buffered.ok()) << buffered.status();
-        Result<double> legacy_scalar =
-            Server::AggregateScalar(buffered->replies, "value");
-        Result<std::vector<double>> legacy_tensor =
-            Server::AggregateTensor(buffered->replies, "params");
-        ASSERT_TRUE(legacy_scalar.ok()) << legacy_scalar.status();
-        ASSERT_TRUE(legacy_tensor.ok()) << legacy_tensor.status();
+        Result<double> alpha_scalar = AlphaWeightedMean(*buffered, "value");
+        Result<std::vector<double>> alpha_tensor =
+            AlphaWeightedTensorMean(*buffered, "params");
+        ASSERT_TRUE(alpha_scalar.ok()) << alpha_scalar.status();
+        ASSERT_TRUE(alpha_tensor.ok()) << alpha_tensor.status();
 
         FoldingConsumer fold;
         Result<RoundSummary> streamed =
@@ -240,10 +242,10 @@ TEST(StreamingEquivalenceTest, StreamingFoldsMatchBufferedAggregation) {
         // Raw-weight fold vs normalized-weight fold: the renormalization is
         // a scale factor on both the numerator and denominator, so the two
         // agree to ulps.
-        EXPECT_NEAR(*fold_scalar, *legacy_scalar, 1e-12);
-        ASSERT_EQ(fold_tensor->size(), legacy_tensor->size());
+        EXPECT_NEAR(*fold_scalar, *alpha_scalar, 1e-12);
+        ASSERT_EQ(fold_tensor->size(), alpha_tensor->size());
         for (size_t i = 0; i < fold_tensor->size(); ++i) {
-          EXPECT_NEAR((*fold_tensor)[i], (*legacy_tensor)[i], 1e-12)
+          EXPECT_NEAR((*fold_tensor)[i], (*alpha_tensor)[i], 1e-12)
               << "element " << i;
         }
       }
@@ -271,7 +273,8 @@ TEST(StreamingEquivalenceTest, FlakyRoundsAgreeWhenCallOrderIsFixed) {
           shape.sizes, /*num_threads=*/1);
     };
 
-    Result<RoundResult> buffered = make_flaky_server()->RunRound(PermissiveSpec());
+    Result<CollectedRound> buffered =
+        CollectRound(*make_flaky_server(), PermissiveSpec());
     FoldingConsumer fold;
     Result<RoundSummary> streamed =
         make_flaky_server()->RunRound(PermissiveSpec(), fold);
@@ -282,27 +285,42 @@ TEST(StreamingEquivalenceTest, FlakyRoundsAgreeWhenCallOrderIsFixed) {
     for (size_t j = 0; j < buffered->outcomes.size(); ++j) {
       EXPECT_EQ(buffered->outcomes[j].ok, streamed->outcomes[j].ok) << "client " << j;
     }
-    Result<double> legacy = Server::AggregateScalar(buffered->replies, "value");
+    Result<double> alpha_mean = AlphaWeightedMean(*buffered, "value");
     Result<double> fold_mean = fold.ScalarMean();
-    ASSERT_TRUE(legacy.ok()) << legacy.status();
+    ASSERT_TRUE(alpha_mean.ok()) << alpha_mean.status();
     ASSERT_TRUE(fold_mean.ok()) << fold_mean.status();
-    EXPECT_NEAR(*fold_mean, *legacy, 1e-12);
+    EXPECT_NEAR(*fold_mean, *alpha_mean, 1e-12);
   }
 }
 
 TEST(StreamingEquivalenceTest, FeedRoundResultReplaysABufferedRound) {
+  // A buffered round replayed through a consumer delivers exactly what the
+  // live round delivered: the property the collected-round tests (and the
+  // phase tests' canned rounds) rely on.
   FederationShape shape = FederationShape::Make(77, /*with_failures=*/true);
-  Result<RoundResult> round = shape.MakeServer(1)->RunRound(PermissiveSpec());
+  RecordingConsumer live;
+  Result<RoundSummary> live_summary =
+      shape.MakeServer(1)->RunRound(PermissiveSpec(), live);
+  ASSERT_TRUE(live_summary.ok()) << live_summary.status();
+  Result<CollectedRound> round =
+      CollectRound(*shape.MakeServer(1), PermissiveSpec());
   ASSERT_TRUE(round.ok()) << round.status();
-  const size_t n_replies = round->replies.size();
-  const size_t ok_clients = round->trace.ok_clients;
+  EXPECT_EQ(round->trace.ok_clients, live_summary->trace.ok_clients);
 
-  RecordingConsumer recorder;
-  Result<RoundSummary> summary = FeedRoundResult(std::move(*round), recorder);
-  ASSERT_TRUE(summary.ok()) << summary.status();
-  EXPECT_EQ(recorder.finish_calls(), 1u);
-  EXPECT_EQ(recorder.entries().size(), n_replies);
-  EXPECT_EQ(summary->trace.ok_clients, ok_clients);
+  RecordingConsumer replayed;
+  for (ClientReply& reply : round->replies) {
+    ASSERT_TRUE(replayed.Consume(std::move(reply)).ok());
+  }
+  ASSERT_TRUE(replayed.Finish().ok());
+  EXPECT_EQ(replayed.finish_calls(), 1u);
+  ASSERT_EQ(replayed.entries().size(), live.entries().size());
+  for (size_t k = 0; k < live.entries().size(); ++k) {
+    EXPECT_EQ(replayed.entries()[k].client_index,
+              live.entries()[k].client_index);
+    EXPECT_EQ(replayed.entries()[k].weight, live.entries()[k].weight);
+    EXPECT_EQ(replayed.entries()[k].payload_bytes,
+              live.entries()[k].payload_bytes);
+  }
 }
 
 TEST(StreamingEquivalenceTest, ConsumeErrorAbortsTheRound) {

@@ -23,6 +23,7 @@
 #include "net/socket.h"
 #include "net/tcp_transport.h"
 #include "net/worker.h"
+#include "round_collector.h"
 
 namespace fedfc::net {
 namespace {
@@ -92,8 +93,8 @@ class WorkerFleet {
     for (auto& future : futures_) EXPECT_TRUE(future.get().ok());
   }
 
-  std::vector<Endpoint> endpoints() const {
-    std::vector<Endpoint> eps;
+  std::vector<WorkerEndpoint> endpoints() const {
+    std::vector<WorkerEndpoint> eps;
     for (const auto& worker : workers_) {
       eps.push_back({"127.0.0.1", worker->port()});
     }
@@ -270,14 +271,15 @@ TEST(LoopbackTest, KilledWorkerIsAbsorbedByRetryPolicy) {
     return worker1->Serve();
   });
 
-  auto transport = std::make_unique<TcpTransport>(std::vector<Endpoint>{
-      {"127.0.0.1", worker0.port()}, {"127.0.0.1", crashy_port}});
+  auto transport =
+      std::make_unique<TcpTransport>(std::vector<WorkerEndpoint>{
+          {"127.0.0.1", worker0.port()}, {"127.0.0.1", crashy_port}});
   TcpTransport* transport_ptr = transport.get();
   fl::Server server(std::move(transport), {30, 10});
 
   fl::RoundSpec spec("any", fl::Payload());
   spec.policy.max_retries = 2;
-  Result<fl::RoundResult> round = server.RunRound(spec);
+  Result<fl::CollectedRound> round = fl::CollectRound(server, spec);
 
   // Tear the workers down before asserting, so a failed expectation cannot
   // leave Serve blocking the pool destructor.
@@ -288,8 +290,8 @@ TEST(LoopbackTest, KilledWorkerIsAbsorbedByRetryPolicy) {
 
   ASSERT_TRUE(round.ok()) << round.status();
   ASSERT_EQ(round->replies.size(), 2u);
-  EXPECT_NEAR(round->replies[0].weight, 0.75, 1e-12);
-  EXPECT_NEAR(round->replies[1].weight, 0.25, 1e-12);
+  EXPECT_NEAR(round->alpha(0), 0.75, 1e-12);
+  EXPECT_NEAR(round->alpha(1), 0.25, 1e-12);
   ASSERT_EQ(round->outcomes.size(), 2u);
   EXPECT_TRUE(round->outcomes[0].ok);
   EXPECT_TRUE(round->outcomes[1].ok);
@@ -321,14 +323,14 @@ TEST(LoopbackTest, DeadWorkerToleratedAsPartialRound) {
   opt.connect_timeout_ms = 500;
   fl::Server server(
       std::make_unique<TcpTransport>(
-          std::vector<Endpoint>{{"127.0.0.1", worker0.port()},
-                                {"127.0.0.1", dead_port}},
+          std::vector<WorkerEndpoint>{{"127.0.0.1", worker0.port()},
+                                      {"127.0.0.1", dead_port}},
           opt),
       {30, 10});
 
   fl::RoundSpec spec("any", fl::Payload());
   spec.policy.min_success_fraction = 0.5;
-  Result<fl::RoundResult> round = server.RunRound(spec);
+  Result<fl::CollectedRound> round = fl::CollectRound(server, spec);
 
   worker0.RequestStop();
   EXPECT_TRUE(done0.get().ok());
@@ -336,7 +338,7 @@ TEST(LoopbackTest, DeadWorkerToleratedAsPartialRound) {
   ASSERT_TRUE(round.ok()) << round.status();
   ASSERT_EQ(round->replies.size(), 1u);
   EXPECT_EQ(round->replies[0].client_index, 0u);
-  EXPECT_DOUBLE_EQ(round->replies[0].weight, 1.0);  // Renormalized alone.
+  EXPECT_DOUBLE_EQ(round->alpha(0), 1.0);  // Renormalized alone.
   EXPECT_EQ(round->trace.ok_clients, 1u);
   EXPECT_EQ(round->trace.failed_clients, 1u);
   EXPECT_EQ(round->trace.transport_failures, 1u);  // The refused connect.

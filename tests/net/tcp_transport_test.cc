@@ -8,6 +8,7 @@
 
 #include "core/thread_pool.h"
 #include "fl/client.h"
+#include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
 #include "worker_harness.h"
@@ -20,7 +21,8 @@ TEST(TcpTransportTest, ExecuteRoundTripsPayload) {
   EchoClient client("c0", 2.5, 40);
   WorkerHarness worker(&pool, &client);
 
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", worker.port()}});
+  TcpTransport transport(
+      std::vector<WorkerEndpoint>{{"127.0.0.1", worker.port()}});
   fl::Payload request;
   request.SetDouble("x", 7.0);
   Result<fl::Payload> reply = transport.Execute(0, "any", request);
@@ -41,7 +43,8 @@ TEST(TcpTransportTest, ClientErrorTravelsAsTypedStatus) {
   EchoClient client("c0", 1.0, 10);
   WorkerHarness worker(&pool, &client);
 
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", worker.port()}});
+  TcpTransport transport(
+      std::vector<WorkerEndpoint>{{"127.0.0.1", worker.port()}});
   Result<fl::Payload> reply = transport.Execute(0, "fail", fl::Payload());
   ASSERT_FALSE(reply.ok());
   // The worker wraps the handler's status in an error frame; the transport
@@ -66,7 +69,8 @@ TEST(TcpTransportTest, ConnectionRefusedCountsAsFailure) {
 
   TcpTransportOptions opt;
   opt.connect_timeout_ms = 500;
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", dead_port}}, opt);
+  TcpTransport transport(
+      std::vector<WorkerEndpoint>{{"127.0.0.1", dead_port}}, opt);
   Result<fl::Payload> reply = transport.Execute(0, "any", fl::Payload());
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kIOError);
@@ -82,7 +86,8 @@ TEST(TcpTransportTest, SilentPeerCountsAsTimeout) {
 
   TcpTransportOptions opt;
   opt.io_timeout_ms = 100;
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", listener->port()}}, opt);
+  TcpTransport transport(
+      std::vector<WorkerEndpoint>{{"127.0.0.1", listener->port()}}, opt);
   Result<fl::Payload> reply = transport.Execute(0, "any", fl::Payload());
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
@@ -90,8 +95,54 @@ TEST(TcpTransportTest, SilentPeerCountsAsTimeout) {
   EXPECT_EQ(transport.stats().failures, 0u);
 }
 
+TEST(TcpTransportTest, ReplyForAnotherTaskIsAFailureAndForcesReconnect) {
+  // A raw-socket fake worker: on its first connection it answers with a
+  // well-formed reply frame for another task (a stale frame, as a stream
+  // out of sync would carry); on its second it answers properly.
+  Result<Listener> listener = Listener::ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  ThreadPool pool(2);
+  auto fake = pool.Submit([&listener]() -> Status {
+    for (bool stale : {true, false}) {
+      FEDFC_ASSIGN_OR_RETURN(Socket conn, listener->Accept(5000));
+      FEDFC_ASSIGN_OR_RETURN(Frame request, ReadFrame(conn, 5000));
+      Frame reply;
+      reply.type = FrameType::kReply;
+      reply.client_index = request.client_index;
+      reply.task = stale ? "other_task" : request.task;
+      fl::Payload payload;
+      payload.SetDouble("value", 4.0);
+      reply.body = payload.Serialize();
+      FEDFC_RETURN_IF_ERROR(WriteFrame(conn, reply, 5000));
+    }
+    return Status::OK();
+  });
+
+  TcpTransportOptions opt;
+  opt.io_timeout_ms = 5000;
+  TcpTransport transport(
+      std::vector<WorkerEndpoint>{{"127.0.0.1", listener->port()}}, opt);
+  Result<fl::Payload> stale = transport.Execute(0, "fit", fl::Payload());
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kInternal);
+  EXPECT_NE(stale.status().message().find("out of sync"), std::string::npos)
+      << stale.status();
+  EXPECT_EQ(transport.stats().failures, 1u);
+  EXPECT_EQ(transport.stats().timeouts, 0u);
+
+  // The stale stream was closed: the next execute reconnects (the fake's
+  // second accept) and succeeds.
+  Result<fl::Payload> fresh = transport.Execute(0, "fit", fl::Payload());
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_DOUBLE_EQ(*fresh->GetDouble("value"), 4.0);
+  EXPECT_EQ(transport.stats().failures, 1u);
+  Status served = fake.get();
+  EXPECT_TRUE(served.ok()) << served;
+}
+
 TEST(TcpTransportTest, OutOfRangeClientIndexRejected) {
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", 1}});
+  TcpTransport transport(
+      std::vector<WorkerEndpoint>{{"127.0.0.1", 1}});
   EXPECT_EQ(transport.Execute(5, "any", fl::Payload()).status().code(),
             StatusCode::kOutOfRange);
 }
@@ -103,8 +154,8 @@ TEST(TcpTransportTest, QueryNumExamplesFetchesSizesOverTheWire) {
   WorkerHarness w0(&pool, &c0);
   WorkerHarness w1(&pool, &c1);
 
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", w0.port()},
-                                               {"127.0.0.1", w1.port()}});
+  TcpTransport transport(std::vector<WorkerEndpoint>{
+      {"127.0.0.1", w0.port()}, {"127.0.0.1", w1.port()}});
   Result<std::vector<size_t>> sizes = transport.QueryNumExamples();
   ASSERT_TRUE(sizes.ok()) << sizes.status();
   EXPECT_EQ(*sizes, (std::vector<size_t>{30, 10}));
@@ -119,7 +170,8 @@ TEST(TcpTransportTest, ShutdownFrameStopsTheWorker) {
   WorkerServer worker(std::move(*listener), &client, FastWorkerOptions());
   auto done = pool.Submit([&worker]() { return worker.Serve(); });
 
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", worker.port()}});
+  TcpTransport transport(
+      std::vector<WorkerEndpoint>{{"127.0.0.1", worker.port()}});
   ASSERT_TRUE(transport.Execute(0, "any", fl::Payload()).ok());
   ASSERT_TRUE(transport.ShutdownWorker(0).ok());
   // Serve returns on its own — no RequestStop needed.

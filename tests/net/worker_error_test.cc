@@ -45,12 +45,17 @@ TEST(WorkerErrorTest, GarbageBytesDropTheConnectionButNotTheLoop) {
   WorkerHarness worker(&pool, &client);
 
   {
-    // Wire garbage (wrong magic) must not kill the worker or produce a
-    // reply — the serve loop drops the connection and returns to accept.
+    // Wire garbage (wrong magic) must not kill the worker. Under the
+    // net::FrameServer contract the loop answers with the typed decode
+    // error (best effort), drops the connection, and returns to accept.
     Socket garbler = MustConnect(worker.port());
     std::vector<uint8_t> garbage(64, 0xAB);
     ASSERT_TRUE(garbler.SendAll(garbage.data(), garbage.size(), 2000).ok());
-    // The worker closes its end; our read observes EOF/reset, not a frame.
+    Result<Frame> error = ReadFrame(garbler, 2000);
+    ASSERT_TRUE(error.ok()) << error.status();
+    EXPECT_EQ(error->type, FrameType::kError);
+    EXPECT_EQ(ErrorFrameStatus(*error).code(), StatusCode::kInvalidArgument);
+    // Then the worker closes its end: the next read observes EOF/reset.
     Result<Frame> nothing = ReadFrame(garbler, 2000);
     EXPECT_FALSE(nothing.ok());
   }

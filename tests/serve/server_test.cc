@@ -296,7 +296,9 @@ TEST(ForecastServerTest, HotSwapUnderLoadEveryReplyWhollyOneVersion) {
   constexpr size_t kConnections = 3;
   constexpr size_t kMaxRequests = 2000;
   std::vector<std::string> failures(kConnections);
-  std::vector<bool> saw_v2(kConnections, false);
+  // One byte per connection: std::vector<bool> packs bits into shared
+  // words, so concurrent writes to distinct elements would race.
+  std::vector<char> saw_v2(kConnections, 0);
   {
     ThreadPool pool(kConnections);
     std::vector<std::future<void>> jobs;
@@ -331,7 +333,7 @@ TEST(ForecastServerTest, HotSwapUnderLoadEveryReplyWhollyOneVersion) {
             return;
           }
           if (reply->model_version == 2) {
-            saw_v2[c] = true;
+            saw_v2[c] = 1;
             return;  // Observed the swap; done.
           }
         }
@@ -352,7 +354,7 @@ TEST(ForecastServerTest, HotSwapUnderLoadEveryReplyWhollyOneVersion) {
   for (size_t c = 0; c < kConnections; ++c) {
     EXPECT_TRUE(failures[c].empty()) << "connection " << c << ": "
                                      << failures[c];
-    EXPECT_TRUE(saw_v2[c]) << "connection " << c;
+    EXPECT_EQ(saw_v2[c], 1) << "connection " << c;
   }
 }
 

@@ -686,35 +686,6 @@ void CheckIntrinsics(const LexedFile& f, std::vector<Violation>* out) {
   }
 }
 
-// --- Rule: round_buffering (new) -------------------------------------------
-//
-// src/automl/ consumes federated rounds through streaming ReplyConsumer
-// folds (automl/phases/reply_folds.h); naming fl::RoundResult — or walking a
-// buffered `.replies` vector — reintroduces the O(num_clients) reply
-// buffering the streaming refactor removed (docs/ARCHITECTURE.md, "Round
-// orchestration"). The buffered API itself stays legal in src/fl/ (it is the
-// compatibility surface) and in tests/, which replay buffered rounds to
-// prove fold equivalence. No fedfc-allow escape: an automl phase that needs
-// every reply at once should grow a consumer, not an annotation.
-
-void CheckRoundBuffering(const LexedFile& f, std::vector<Violation>* out) {
-  if (f.rel_path.rfind("automl/", 0) != 0) return;
-  const auto& t = f.tokens;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (IsIdent(t[i], "RoundResult")) {
-      out->push_back({f.rel_path, t[i].line, "round_buffering",
-                      "fl::RoundResult buffers every reply — stream through a "
-                      "ReplyConsumer fold (automl/phases/reply_folds.h) "
-                      "instead"});
-    } else if (i > 0 && IsIdent(t[i], "replies") &&
-               (IsPunct(t[i - 1], ".") || IsPunct(t[i - 1], "->"))) {
-      out->push_back({f.rel_path, t[i].line, "round_buffering",
-                      "walking a buffered `.replies` vector in automl/ — fold "
-                      "replies as they arrive via a ReplyConsumer"});
-    }
-  }
-}
-
 // --- Rule: layering (new, whole-program) -----------------------------------
 //
 // fedfc_lint's first cross-file pass. It sees every lexed file at once —
@@ -1022,8 +993,6 @@ constexpr Rule kRules[] = {
      "repo-root-relative includes: no ../ ./ absolute or .cc includes"},
     {"intrinsics", CheckIntrinsics, true,
      "SIMD intrinsics (<*intrin.h>, _mm*/__m*) only in src/ml/kernels/"},
-    {"round_buffering", CheckRoundBuffering, false,
-     "src/automl/ consumes rounds via ReplyConsumer folds, not RoundResult"},
     {"layering", nullptr, true,
      "module DAG core<-{ts,data}<-{ml,features}<-fl<-{net,automl}; no "
      "cycles, orphan headers, or includes from tools/",
@@ -1383,37 +1352,6 @@ const std::vector<SelfTestCase>& SelfTestCases() {
       {"intrinsics",
        {"ml/ok_ident.cc", "int _member = 0; int F() { return _member; }\n"},
        false, "ordinary underscore identifiers do not fire"},
-      // round_buffering
-      {"round_buffering",
-       {"automl/bad_buffer.cc",
-        "Result<double> F(fl::Server* s, const fl::RoundSpec& spec) {\n"
-        "  FEDFC_ASSIGN_OR_RETURN(fl::RoundResult round, s->RunRound(spec));\n"
-        "  return fl::Server::AggregateScalar(round.replies, \"loss\");\n}\n"},
-       true, "materializing fl::RoundResult in automl/ fires"},
-      {"round_buffering",
-       {"automl/bad_replies.cc",
-        "double Sum(const Round* round) {\n"
-        "  double s = 0;\n"
-        "  for (const auto& r : round->replies) s += r.weight;\n"
-        "  return s;\n}\n"},
-       true, "walking a buffered ->replies vector in automl/ fires"},
-      {"round_buffering",
-       {"fl/server.cc",
-        "Result<fl::RoundResult> F(fl::Server* s, const fl::RoundSpec& spec)"
-        " {\n  return s->RunRound(spec);\n}\n"},
-       false, "src/fl/ is the buffered API's home and stays legal"},
-      {"round_buffering",
-       {"automl/ok_fold.cc",
-        "Result<double> F(fl::RoundRunner* r, const fl::RoundSpec& spec) {\n"
-        "  auto consumer = phases::MakeScalarFold(DecodeLoss);\n"
-        "  FEDFC_RETURN_IF_ERROR(r->RunRound(spec, consumer).status());\n"
-        "  std::vector<int> replies;\n"
-        "  return consumer.Mean();\n}\n"},
-       false, "consumer folds (and plain `replies` locals) are clean"},
-      {"round_buffering",
-       {"automl/doc.cc",
-        "// legacy phases held a RoundResult and looped over .replies\n"},
-       false, "mentions in comments do not fire"},
   };
   return cases;
 }
