@@ -2,8 +2,10 @@
 # Full verification gate for this repository (see docs/STATIC_ANALYSIS.md):
 #
 #   tsan    ThreadSanitizer over the concurrency-sensitive suites (tests/core,
-#           tests/fl, and the automl engine/phases suites that drive
-#           concurrent rounds), built into build-tsan/.
+#           tests/fl, tests/net, tests/serve, the automl engine/phases
+#           suites that drive concurrent rounds, and the knowledge-base
+#           suite whose record fan-out runs on the pool), built into
+#           build-tsan/.
 #   asan    AddressSanitizer (+ leak checking) over the full test suite,
 #           built into build-asan/.
 #   ubsan   UndefinedBehaviorSanitizer (non-recoverable) over the full test
@@ -72,7 +74,7 @@ run_sanitizer_suite() {
 for phase in "${phases[@]}"; do
   case "$phase" in
     tsan)
-      echo "=== [tsan] ThreadSanitizer: core/ + fl/ + automl engine/phases ==="
+      echo "=== [tsan] ThreadSanitizer: core/ + fl/ + net/ + serve/ + automl engine/phases/KB ==="
       run_sanitizer_suite thread build-tsan fedfc_concurrency_tests \
         ./build-tsan/tests/fedfc_concurrency_tests
       ;;

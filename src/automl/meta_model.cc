@@ -8,8 +8,6 @@
 #include "ml/metrics.h"
 #include "ml/nn/mlp.h"
 #include "ml/tree/gbdt.h"
-#include "ml/tree/hist_gbdt.h"
-#include "ml/tree/oblivious_gbdt.h"
 #include "ml/tree/random_forest.h"
 
 namespace fedfc::automl {

@@ -7,10 +7,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/checked.h"
 #include "core/crc32.h"
 #include "fl/task_codec.h"
-#include "ml/tree/gbdt.h"
 
 namespace fedfc::automl {
 
@@ -33,69 +31,13 @@ Result<std::vector<double>> SerializeModel(const Configuration& config,
 }
 
 Status ModelBlobAccumulator::Add(double weight, const std::vector<double>& blob) {
-  if (!xgb_) {
-    // FedAvg over flat parameter vectors: fold weight * params, divide by
-    // the weight total at Finish.
-    if (!any_) {
-      param_sum_.assign(blob.size(), 0.0);
-    } else if (blob.size() != param_sum_.size()) {
-      return Status::InvalidArgument("ModelBlobAccumulator: size mismatch");
-    }
-    for (size_t i = 0; i < blob.size(); ++i) {
-      param_sum_[i] += weight * blob[i];
-    }
-    any_ = true;
-    total_weight_ += weight;
-    return Status::OK();
-  }
-
-  // XGB: merge trees into one prediction-equivalent model. The client model
-  // predicts base_k + lr_k * sum(trees_k); the global ensemble is the
-  // weighted sum, realized with a merged learning rate of 1 and leaf weights
-  // pre-scaled by w_k * lr_k (renormalized by the weight total at Finish).
-  if (blob.size() < 3) {
-    return Status::InvalidArgument("ModelBlobAccumulator: short XGB blob");
-  }
-  if (!std::isfinite(blob[0]) || !std::isfinite(blob[1])) {
-    return Status::InvalidArgument(
-        "ModelBlobAccumulator: non-finite base score or learning rate");
-  }
-  const double base = blob[0];
-  const double lr = blob[1];
-  // Count fields are untrusted: validate finite/integral/in-span before the
-  // cast (UB otherwise). Validate the whole blob before touching the
-  // accumulated state, so a bad blob leaves the fold unchanged.
-  FEDFC_ASSIGN_OR_RETURN(
-      size_t n_trees,
-      CheckedCount(blob[2], blob.size() - 3,
-                   "ModelBlobAccumulator tree count"));
-  size_t offset = 3;
-  for (size_t t = 0; t < n_trees; ++t) {
-    if (offset >= blob.size()) {
-      return Status::InvalidArgument(
-          "ModelBlobAccumulator: truncated XGB blob");
-    }
-    FEDFC_ASSIGN_OR_RETURN(
-        size_t n_nodes,
-        CheckedCount(blob[offset], (blob.size() - offset - 1) / 5,
-                     "ModelBlobAccumulator node block"));
-    offset += 1 + 5 * n_nodes;
-  }
-  base_sum_ += weight * base;
-  offset = 3;
-  for (size_t t = 0; t < n_trees; ++t) {
-    auto n_nodes = static_cast<size_t>(blob[offset]);
-    tree_section_.push_back(blob[offset]);
-    for (size_t node = 0; node < n_nodes; ++node) {
-      size_t p = offset + 1 + 5 * node;
-      tree_section_.push_back(blob[p]);      // feature
-      tree_section_.push_back(blob[p + 1]);  // threshold
-      tree_section_.push_back(blob[p + 2]);  // left
-      tree_section_.push_back(blob[p + 3]);  // right
-      tree_section_.push_back(blob[p + 4] * weight * lr);  // scaled weight
-    }
-    offset += 1 + 5 * n_nodes;
-    ++total_trees_;
+  FEDFC_ASSIGN_OR_RETURN(std::unique_ptr<ml::Regressor> model,
+                         DeserializeModel(config_, blob));
+  if (config_.algorithm == AlgorithmId::kXgb) {
+    // DeserializeModel builds XGB configs as GbdtRegressor.
+    merged_.Merge(weight, static_cast<const ml::GbdtRegressor&>(*model));
+  } else {
+    FEDFC_RETURN_IF_ERROR(params_.Add(weight, model->GetParameters()));
   }
   any_ = true;
   total_weight_ += weight;
@@ -109,28 +51,9 @@ Result<std::vector<double>> ModelBlobAccumulator::Finish() {
   if (total_weight_ <= 0.0) {
     return Status::InvalidArgument("ModelBlobAccumulator: zero total weight");
   }
-  if (!xgb_) {
-    std::vector<double> avg = std::move(param_sum_);
-    for (double& v : avg) v /= total_weight_;
-    return avg;
-  }
-  std::vector<double> merged;
-  merged.reserve(3 + tree_section_.size());
-  merged.push_back(base_sum_ / total_weight_);
-  merged.push_back(1.0);  // Merged learning rate.
-  merged.push_back(static_cast<double>(total_trees_));
-  // Leaves were accumulated pre-scaled by the raw w_k * lr_k; dividing by
-  // the weight total here completes the renormalization.
-  size_t offset = 0;
-  while (offset < tree_section_.size()) {
-    auto n_nodes = static_cast<size_t>(tree_section_[offset]);
-    for (size_t node = 0; node < n_nodes; ++node) {
-      tree_section_[offset + 1 + 5 * node + 4] /= total_weight_;
-    }
-    offset += 1 + 5 * n_nodes;
-  }
-  merged.insert(merged.end(), tree_section_.begin(), tree_section_.end());
-  return merged;
+  if (config_.algorithm != AlgorithmId::kXgb) return params_.Mean();
+  merged_.FinishMerge(total_weight_);
+  return merged_.SerializeModel();
 }
 
 Result<std::unique_ptr<ml::Regressor>> DeserializeModel(

@@ -10,7 +10,9 @@
 #include "core/matrix.h"
 #include "core/result.h"
 #include "features/feature_engineering.h"
+#include "fl/aggregation.h"
 #include "ml/model.h"
+#include "ml/tree/gbdt.h"
 
 namespace fedfc::automl {
 
@@ -34,11 +36,13 @@ Result<std::vector<double>> SerializeModel(const Configuration& config,
 Result<std::unique_ptr<ml::Regressor>> DeserializeModel(
     const Configuration& config, const std::vector<double>& blob);
 
-/// Streaming fold over per-client model blobs (Algorithm 1, lines 26-27):
+/// Streaming fold over per-client model blobs (Algorithm 1, lines 26-27).
+/// `Add` decodes each blob with DeserializeModel, so a blob that no client,
+/// evaluate round or Forecaster could load is rejected before it touches
+/// the fold, and then folds the decoded model:
 ///  - linear family: weighted average of the flat parameters (FedAvg);
-///  - XGB: weighted ensemble, realized as a single boosted model whose
-///    per-client trees have base scores and leaf weights scaled by the
-///    client weights (prediction-equivalent to the weighted ensemble).
+///  - XGB: weighted ensemble, realized as one boosted model through
+///    GbdtRegressor::Merge (prediction-equivalent to the weighted ensemble).
 /// Weights are raw (|D_j|-style) and renormalized on the running total at
 /// `Finish`, so one client's blob can be folded in and dropped as it
 /// arrives — the model analogue of fl::ScalarAccumulator. `Finish` is
@@ -46,20 +50,17 @@ Result<std::unique_ptr<ml::Regressor>> DeserializeModel(
 /// blob. This is the one place client models become the global model.
 class ModelBlobAccumulator {
  public:
-  explicit ModelBlobAccumulator(const Configuration& config)
-      : xgb_(config.algorithm == AlgorithmId::kXgb) {}
+  explicit ModelBlobAccumulator(const Configuration& config) : config_(config) {}
 
   Status Add(double weight, const std::vector<double>& blob);
   Result<std::vector<double>> Finish();
 
  private:
-  bool xgb_;
+  Configuration config_;
   bool any_ = false;
   double total_weight_ = 0.0;
-  std::vector<double> param_sum_;   ///< Linear family: weighted param sums.
-  double base_sum_ = 0.0;           ///< XGB: weighted base-score sum.
-  size_t total_trees_ = 0;          ///< XGB: trees appended so far.
-  std::vector<double> tree_section_;  ///< XGB: leaves pre-scaled by w * lr.
+  fl::TensorAccumulator params_;  ///< Linear family: weighted parameter sums.
+  ml::GbdtRegressor merged_;      ///< XGB: the merged client trees.
 };
 
 // ---------------------------------------------------------------------------

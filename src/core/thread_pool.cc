@@ -1,7 +1,6 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 namespace fedfc {
@@ -75,7 +74,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   // One exception slot per index so the rethrown error is the lowest-index
   // failure regardless of which thread ran it.
   std::vector<std::exception_ptr> errors(n);
-  std::atomic<size_t> remaining(n);
+  // Counted down under done_mutex: a task that decremented it outside the
+  // lock could still be about to lock done_mutex and signal done_cv after
+  // this frame, which owns both, has returned.
+  size_t remaining = n;
   Mutex done_mutex;
   CondVar done_cv;
   for (size_t i = 0; i < n; ++i) {
@@ -85,15 +87,13 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       } catch (...) {
         errors[i] = std::current_exception();
       }
-      if (remaining.fetch_sub(1) == 1) {
-        MutexLock lock(done_mutex);
-        done_cv.NotifyOne();
-      }
+      MutexLock lock(done_mutex);
+      if (--remaining == 0) done_cv.NotifyOne();
     });
   }
   {
     MutexLock lock(done_mutex);
-    while (remaining.load() != 0) done_cv.Wait(done_mutex);
+    while (remaining != 0) done_cv.Wait(done_mutex);
   }
   for (size_t i = 0; i < n; ++i) {
     if (errors[i]) std::rethrow_exception(errors[i]);

@@ -37,24 +37,6 @@ double AlphaMax(const Matrix& x, const std::vector<double>& y, double l1_ratio) 
 
 }  // namespace
 
-Status ElasticNetRegressor::FitStandardized(const Matrix& x,
-                                            const std::vector<double>& y, Rng* rng,
-                                            std::vector<double>* weights_std,
-                                            double* intercept_std) {
-  if (config_.alpha < 0.0 || config_.l1_ratio < 0.0 || config_.l1_ratio > 1.0) {
-    return Status::InvalidArgument("ElasticNet: invalid alpha/l1_ratio");
-  }
-  CdOptions opts;
-  opts.alpha = config_.alpha;
-  opts.l1_ratio = config_.l1_ratio;
-  opts.selection = config_.selection;
-  opts.max_iter = config_.max_iter;
-  opts.tol = config_.tol;
-  *weights_std = CoordinateDescent(x, y, opts, rng);
-  *intercept_std = InterceptFor(x, y, *weights_std);
-  return Status::OK();
-}
-
 Status ElasticNetCvRegressor::FitStandardized(const Matrix& x,
                                               const std::vector<double>& y, Rng* rng,
                                               std::vector<double>* weights_std,

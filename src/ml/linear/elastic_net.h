@@ -10,36 +10,6 @@
 
 namespace fedfc::ml {
 
-/// Elastic-net regression (L1 + L2) via coordinate descent.
-class ElasticNetRegressor : public LinearRegressorBase {
- public:
-  struct Config {
-    double alpha = 0.1;
-    double l1_ratio = 0.5;
-    CdSelection selection = CdSelection::kCyclic;
-    size_t max_iter = 200;
-    double tol = 1e-5;
-  };
-
-  ElasticNetRegressor() = default;
-  explicit ElasticNetRegressor(Config config) : config_(config) {}
-
-  std::string Name() const override { return "ElasticNet"; }
-  std::unique_ptr<Regressor> Clone() const override {
-    return std::make_unique<ElasticNetRegressor>(*this);
-  }
-
-  [[nodiscard]] const Config& config() const { return config_; }
-
- protected:
-  Status FitStandardized(const Matrix& x, const std::vector<double>& y, Rng* rng,
-                         std::vector<double>* weights_std,
-                         double* intercept_std) override;
-
- private:
-  Config config_;
-};
-
 /// ElasticNet with the regularization strength `alpha` chosen by
 /// time-ordered K-fold cross-validation over a geometric alpha path —
 /// the scikit-learn ElasticNetCV the paper's search space names.

@@ -8,8 +8,8 @@
 
 namespace fedfc::ml::gbdt_internal {
 
-/// Quantile-binned view of a feature matrix, shared by the histogram
-/// (LightGBM-style) and oblivious (CatBoost-style) boosting variants.
+/// Quantile-binned view of a feature matrix, shared by GbdtTree's leaf-wise
+/// (LightGBM-style) and oblivious (CatBoost-style) growers.
 class BinnedMatrix {
  public:
   /// Bins each column into at most `max_bins` quantile buckets.

@@ -122,24 +122,50 @@ Status GbdtRegressor::DeserializeModel(const std::vector<double>& data) {
   return Status::OK();
 }
 
-Status GbdtClassifier::Fit(const Matrix& x, const std::vector<int>& y, int n_classes,
-                           Rng* rng) {
+void GbdtRegressor::Merge(double weight, const GbdtRegressor& client) {
+  base_score_ += weight * client.base_score_;
+  const double lr = client.config_.learning_rate;
+  for (gbdt_internal::GbdtTree tree : client.trees_) {
+    tree.MapWeights([&](double w) { return w * weight * lr; });
+    trees_.push_back(std::move(tree));
+  }
+}
+
+void GbdtRegressor::FinishMerge(double total_weight) {
+  base_score_ /= total_weight;
+  config_.learning_rate = 1.0;
+  for (gbdt_internal::GbdtTree& tree : trees_) {
+    tree.MapWeights([&](double w) { return w / total_weight; });
+  }
+}
+
+namespace gbdt_internal {
+
+Status SoftmaxBooster::Fit(const Matrix& x, const std::vector<int>& y,
+                           int n_classes, Rng* rng) {
   if (x.rows() == 0 || x.rows() != y.size()) {
-    return Status::InvalidArgument("GbdtClassifier: bad shapes");
+    return Status::InvalidArgument(Name() + ": bad shapes");
   }
   if (n_classes < 2) {
-    return Status::InvalidArgument("GbdtClassifier: need >= 2 classes");
+    return Status::InvalidArgument(Name() + ": need >= 2 classes");
+  }
+  const Plan cfg = plan();
+  if (cfg.n_estimators == 0) {
+    return Status::InvalidArgument(Name() + ": n_estimators must be positive");
   }
   n_classes_ = n_classes;
   trees_.clear();
+  BinnedMatrix binned;
+  if (cfg.grower != Grower::kDepthWise) {
+    binned = BinnedMatrix::Build(x, cfg.max_bins);
+  }
   const size_t n = x.rows();
   const size_t k = static_cast<size_t>(n_classes);
   Matrix scores(n, k, 0.0);
   std::vector<double> g(n), h(n);
-  gbdt_internal::GbdtTreeConfig tc = TreeConfigFrom(config_);
 
-  for (size_t round = 0; round < config_.n_estimators; ++round) {
-    std::vector<size_t> rows = SubsampleRows(n, config_.subsample, rng);
+  for (size_t round = 0; round < cfg.n_estimators; ++round) {
+    std::vector<size_t> rows = SubsampleRows(n, cfg.subsample, rng);
     // Shared softmax per row for this round.
     Matrix proba(n, k, 0.0);
     for (size_t i = 0; i < n; ++i) {
@@ -151,12 +177,22 @@ Status GbdtClassifier::Fit(const Matrix& x, const std::vector<int>& y, int n_cla
       for (size_t i = 0; i < n; ++i) {
         double p = proba(i, c);
         g[i] = p - (y[i] == static_cast<int>(c) ? 1.0 : 0.0);
-        h[i] = config_.use_hessian ? std::max(p * (1.0 - p), 1e-6) : 1.0;
+        h[i] = cfg.use_hessian ? std::max(p * (1.0 - p), 1e-6) : 1.0;
       }
-      gbdt_internal::GbdtTree tree;
-      tree.Fit(x, g, h, rows, tc);
+      GbdtTree tree;
+      switch (cfg.grower) {
+        case Grower::kDepthWise:
+          tree.Fit(x, g, h, rows, cfg.tree);
+          break;
+        case Grower::kLeafWise:
+          tree.FitLeafWise(binned, g, h, cfg.max_leaves, cfg.tree);
+          break;
+        case Grower::kOblivious:
+          tree.FitOblivious(binned, g, h, cfg.tree);
+          break;
+      }
       for (size_t i = 0; i < n; ++i) {
-        scores(i, c) += config_.learning_rate * tree.PredictRow(x.Row(i));
+        scores(i, c) += cfg.learning_rate * tree.PredictRow(x.Row(i));
       }
       trees_.push_back(std::move(tree));
     }
@@ -164,20 +200,49 @@ Status GbdtClassifier::Fit(const Matrix& x, const std::vector<int>& y, int n_cla
   return Status::OK();
 }
 
-Matrix GbdtClassifier::PredictProba(const Matrix& x) const {
+Matrix SoftmaxBooster::PredictProba(const Matrix& x) const {
   FEDFC_CHECK(!trees_.empty()) << "PredictProba before Fit";
+  const double learning_rate = plan().learning_rate;
   const size_t k = static_cast<size_t>(n_classes_);
   Matrix out(x.rows(), k, 0.0);
   for (size_t r = 0; r < x.rows(); ++r) {
     const double* row = x.Row(r);
     std::vector<double> logits(k, 0.0);
     for (size_t t = 0; t < trees_.size(); ++t) {
-      logits[t % k] += config_.learning_rate * trees_[t].PredictRow(row);
+      logits[t % k] += learning_rate * trees_[t].PredictRow(row);
     }
     std::vector<double> p = Softmax(logits);
     for (size_t c = 0; c < k; ++c) out(r, c) = p[c];
   }
   return out;
+}
+
+}  // namespace gbdt_internal
+
+GbdtClassifier::Plan GbdtClassifier::plan() const {
+  return {.tree = TreeConfigFrom(config_),
+          .n_estimators = config_.n_estimators,
+          .learning_rate = config_.learning_rate,
+          .subsample = config_.subsample,
+          .use_hessian = config_.use_hessian};
+}
+
+HistGbdtClassifier::Plan HistGbdtClassifier::plan() const {
+  return {.grower = Grower::kLeafWise,
+          .tree = {.reg_lambda = config_.reg_lambda,
+                   .min_samples_leaf = config_.min_samples_leaf},
+          .n_estimators = config_.n_estimators,
+          .learning_rate = config_.learning_rate,
+          .max_leaves = config_.max_leaves,
+          .max_bins = config_.max_bins};
+}
+
+ObliviousGbdtClassifier::Plan ObliviousGbdtClassifier::plan() const {
+  return {.grower = Grower::kOblivious,
+          .tree = {.max_depth = config_.depth, .reg_lambda = config_.reg_lambda},
+          .n_estimators = config_.n_estimators,
+          .learning_rate = config_.learning_rate,
+          .max_bins = config_.max_bins};
 }
 
 }  // namespace fedfc::ml

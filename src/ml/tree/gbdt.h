@@ -48,6 +48,15 @@ class GbdtRegressor : public Regressor {
   [[nodiscard]] std::vector<double> SerializeModel() const;
   Status DeserializeModel(const std::vector<double>& data);
 
+  /// Weighted federated merge (Algorithm 1, line 27) into a default-
+  /// constructed regressor. `Merge` appends one client model's trees with
+  /// every node weight scaled by `weight` times the client's learning rate,
+  /// and adds `weight` times its base score. `FinishMerge` divides both by
+  /// the weight total and sets the learning rate to 1, so the merged model
+  /// predicts the weighted mean of the clients' predictions.
+  void Merge(double weight, const GbdtRegressor& client);
+  void FinishMerge(double total_weight);
+
   /// A deserialized tree's split features index prediction rows directly;
   /// an index at or past the row width is an out-of-bounds read. Typed
   /// check for the untrusted-model boundaries (see Regressor).
@@ -59,17 +68,46 @@ class GbdtRegressor : public Regressor {
   std::vector<gbdt_internal::GbdtTree> trees_;
 };
 
-/// Multiclass boosted classifier: one tree per class per round on softmax
-/// gradients. `use_hessian` toggles between the XGBClassifier and classic
-/// GradientBoosting candidates of Table 4.
-class GbdtClassifier : public Classifier {
+namespace gbdt_internal {
+
+/// The softmax boosting loop shared by the Table 4 boosters: each round
+/// fits one tree per class to the softmax gradients of the running scores.
+/// Subclasses differ only in their config and in which GbdtTree grower
+/// fills each tree.
+class SoftmaxBooster : public Classifier {
+ public:
+  Status Fit(const Matrix& x, const std::vector<int>& y, int n_classes,
+             Rng* rng) final;
+  Matrix PredictProba(const Matrix& x) const final;
+
+ protected:
+  enum class Grower { kDepthWise, kLeafWise, kOblivious };
+  /// A subclass's config mapped onto the shared loop.
+  struct Plan {
+    Grower grower = Grower::kDepthWise;
+    GbdtTreeConfig tree;
+    size_t n_estimators = 0;
+    double learning_rate = 0.1;
+    double subsample = 1.0;   ///< Row fraction per round (1 = all rows).
+    bool use_hessian = true;  ///< false: unit hessian (first-order).
+    int max_leaves = 0;       ///< Leaf-wise grower only.
+    int max_bins = 0;         ///< Histogram growers only.
+  };
+  [[nodiscard]] virtual Plan plan() const = 0;
+
+ private:
+  // trees_[round * n_classes + k].
+  std::vector<GbdtTree> trees_;
+};
+
+}  // namespace gbdt_internal
+
+/// Multiclass exact-greedy booster. `use_hessian` toggles between the
+/// XGBClassifier and classic GradientBoosting candidates of Table 4.
+class GbdtClassifier : public gbdt_internal::SoftmaxBooster {
  public:
   GbdtClassifier() = default;
   explicit GbdtClassifier(GbdtConfig config) : config_(config) {}
-
-  Status Fit(const Matrix& x, const std::vector<int>& y, int n_classes,
-             Rng* rng) override;
-  Matrix PredictProba(const Matrix& x) const override;
 
   std::string Name() const override {
     return config_.use_hessian ? "XGBClassifier" : "GradientBoostingClassifier";
@@ -80,10 +118,72 @@ class GbdtClassifier : public Classifier {
 
   [[nodiscard]] const GbdtConfig& config() const { return config_; }
 
+ protected:
+  Plan plan() const override;
+
  private:
   GbdtConfig config_;
-  // trees_[round * n_classes + k].
-  std::vector<gbdt_internal::GbdtTree> trees_;
+};
+
+/// LightGBM-style classifier: histogram split finding on quantile bins with
+/// leaf-wise (best-first) tree growth bounded by `max_leaves`. One of the
+/// Table 4 meta-model candidates.
+class HistGbdtClassifier : public gbdt_internal::SoftmaxBooster {
+ public:
+  struct Config {
+    size_t n_estimators = 20;
+    int max_leaves = 15;
+    int max_bins = 32;
+    double learning_rate = 0.1;
+    double reg_lambda = 1.0;
+    size_t min_samples_leaf = 2;
+  };
+
+  HistGbdtClassifier() = default;
+  explicit HistGbdtClassifier(Config config) : config_(config) {}
+
+  std::string Name() const override { return "LightGBMClassifier"; }
+  std::unique_ptr<Classifier> Clone() const override {
+    return std::make_unique<HistGbdtClassifier>(*this);
+  }
+
+  [[nodiscard]] const Config& config() const { return config_; }
+
+ protected:
+  Plan plan() const override;
+
+ private:
+  Config config_;
+};
+
+/// CatBoost-style classifier on oblivious (symmetric) trees: every level of
+/// a tree applies the same (feature, threshold) split to all of its nodes.
+/// One of the Table 4 meta-model candidates.
+class ObliviousGbdtClassifier : public gbdt_internal::SoftmaxBooster {
+ public:
+  struct Config {
+    size_t n_estimators = 20;
+    int depth = 4;
+    int max_bins = 32;
+    double learning_rate = 0.1;
+    double reg_lambda = 1.0;
+  };
+
+  ObliviousGbdtClassifier() = default;
+  explicit ObliviousGbdtClassifier(Config config) : config_(config) {}
+
+  std::string Name() const override { return "CatBoostClassifier"; }
+  std::unique_ptr<Classifier> Clone() const override {
+    return std::make_unique<ObliviousGbdtClassifier>(*this);
+  }
+
+  [[nodiscard]] const Config& config() const { return config_; }
+
+ protected:
+  Plan plan() const override;
+
+ private:
+  Config config_;
 };
 
 }  // namespace fedfc::ml

@@ -7,8 +7,78 @@
 
 #include "core/checked.h"
 #include "core/logging.h"
+#include "ml/kernels/kernels.h"
 
 namespace fedfc::ml::gbdt_internal {
+
+namespace {
+
+double LeafScore(double g, double h, double lambda) {
+  return g * g / (h + lambda);
+}
+
+double LeafWeight(double g, double h, double lambda) {
+  return -g / (h + lambda);
+}
+
+struct SplitCandidate {
+  double gain = -1.0;
+  int feature = -1;
+  int bin = -1;  ///< Go left when bin(value) <= bin.
+};
+
+/// A leaf of a leaf-wise tree under construction.
+struct LeafState {
+  std::vector<size_t> rows;
+  double g_sum = 0.0;
+  double h_sum = 0.0;
+  int32_t node_index = -1;
+  SplitCandidate best;
+};
+
+/// Best histogram split of `leaf` over every binned feature.
+SplitCandidate FindBestSplit(const BinnedMatrix& binned,
+                             const std::vector<double>& g,
+                             const std::vector<double>& h, const LeafState& leaf,
+                             double lambda, size_t min_leaf) {
+  SplitCandidate best;
+  const size_t n = leaf.rows.size();
+  if (n < 2 * min_leaf) return best;
+  std::vector<double> hist_g, hist_h;
+  std::vector<size_t> hist_n;
+  for (size_t f = 0; f < binned.cols(); ++f) {
+    int nb = binned.n_bins(f);
+    if (nb < 2) continue;
+    const size_t n_bins = static_cast<size_t>(nb);
+    hist_g.assign(n_bins, 0.0);
+    hist_h.assign(n_bins, 0.0);
+    hist_n.assign(n_bins, 0);
+    kernels::HistogramAccumulate(leaf.rows.data(), leaf.rows.size(),
+                                 binned.bins_data() + f, binned.cols(),
+                                 g.data(), h.data(), hist_g.data(),
+                                 hist_h.data(), hist_n.data());
+    double gl = 0.0, hl = 0.0;
+    size_t nl = 0;
+    double parent = LeafScore(leaf.g_sum, leaf.h_sum, lambda);
+    for (size_t b = 0; b + 1 < n_bins; ++b) {
+      gl += hist_g[b];
+      hl += hist_h[b];
+      nl += hist_n[b];
+      if (nl < min_leaf || n - nl < min_leaf) continue;
+      double gain = 0.5 * (LeafScore(gl, hl, lambda) +
+                           LeafScore(leaf.g_sum - gl, leaf.h_sum - hl, lambda) -
+                           parent);
+      if (gain > best.gain) {
+        best.gain = gain;
+        best.feature = static_cast<int>(f);
+        best.bin = static_cast<int>(b);
+      }
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 void GbdtTree::Fit(const Matrix& x, const std::vector<double>& g,
                    const std::vector<double>& h,
@@ -34,10 +104,7 @@ int32_t GbdtTree::Build(const Matrix& x, const std::vector<double>& g,
     g_sum += g[i];
     h_sum += h[i];
   }
-  auto score = [&](double gs, double hs) {
-    return gs * gs / (hs + config.reg_lambda);
-  };
-
+  const double lambda = config.reg_lambda;
   bool stop = depth >= config.max_depth || n < 2 * config.min_samples_leaf || n < 2;
   int best_feature = -1;
   double best_threshold = 0.0;
@@ -61,9 +128,9 @@ int32_t GbdtTree::Build(const Matrix& x, const std::vector<double>& g,
         if (n_left < config.min_samples_leaf || n_right < config.min_samples_leaf) {
           continue;
         }
-        double gain =
-            0.5 * (score(gl, hl) + score(g_sum - gl, h_sum - hl) -
-                   score(g_sum, h_sum));
+        double gain = 0.5 * (LeafScore(gl, hl, lambda) +
+                             LeafScore(g_sum - gl, h_sum - hl, lambda) -
+                             LeafScore(g_sum, h_sum, lambda));
         if (gain > best_gain) {
           best_gain = gain;
           best_feature = static_cast<int>(f);
@@ -74,9 +141,7 @@ int32_t GbdtTree::Build(const Matrix& x, const std::vector<double>& g,
   }
 
   if (best_feature < 0) {
-    Node leaf;
-    leaf.weight = -g_sum / (h_sum + config.reg_lambda);
-    nodes_.push_back(leaf);
+    nodes_.push_back({.weight = LeafWeight(g_sum, h_sum, lambda)});
     return static_cast<int32_t>(nodes_.size() - 1);
   }
 
@@ -95,16 +160,188 @@ int32_t GbdtTree::Build(const Matrix& x, const std::vector<double>& g,
   indices.clear();
   indices.shrink_to_fit();
 
-  Node split;
-  split.feature = best_feature;
-  split.threshold = best_threshold;
-  nodes_.push_back(split);
+  nodes_.push_back({.feature = best_feature, .threshold = best_threshold});
   int32_t self = static_cast<int32_t>(nodes_.size() - 1);
   int32_t left = Build(x, g, h, left_idx, depth + 1, config);
   int32_t right = Build(x, g, h, right_idx, depth + 1, config);
   nodes_[static_cast<size_t>(self)].left = left;
   nodes_[static_cast<size_t>(self)].right = right;
   return self;
+}
+
+void GbdtTree::FitLeafWise(const BinnedMatrix& binned,
+                           const std::vector<double>& g,
+                           const std::vector<double>& h, int max_leaves,
+                           const GbdtTreeConfig& config) {
+  FEDFC_CHECK(g.size() == binned.rows() && h.size() == binned.rows());
+  nodes_.clear();
+  gains_.assign(binned.cols(), 0.0);
+  const double lambda = config.reg_lambda;
+
+  LeafState root;
+  root.rows.resize(binned.rows());
+  std::iota(root.rows.begin(), root.rows.end(), 0);
+  for (size_t i : root.rows) {
+    root.g_sum += g[i];
+    root.h_sum += h[i];
+  }
+  nodes_.push_back({.weight = LeafWeight(root.g_sum, root.h_sum, lambda)});
+  root.node_index = 0;
+  root.best = FindBestSplit(binned, g, h, root, lambda, config.min_samples_leaf);
+
+  std::vector<LeafState> leaves;
+  leaves.push_back(std::move(root));
+
+  while (static_cast<int>(leaves.size()) < max_leaves) {
+    size_t best_leaf = leaves.size();
+    double best_gain = config.min_gain;
+    for (size_t l = 0; l < leaves.size(); ++l) {
+      if (leaves[l].best.gain > best_gain) {
+        best_gain = leaves[l].best.gain;
+        best_leaf = l;
+      }
+    }
+    if (best_leaf == leaves.size()) break;
+
+    LeafState leaf = std::move(leaves[best_leaf]);
+    leaves.erase(leaves.begin() + static_cast<ptrdiff_t>(best_leaf));
+
+    LeafState left, right;
+    const size_t split_feature = static_cast<size_t>(leaf.best.feature);
+    for (size_t i : leaf.rows) {
+      if (binned.bin(i, split_feature) <= leaf.best.bin) {
+        left.rows.push_back(i);
+        left.g_sum += g[i];
+        left.h_sum += h[i];
+      } else {
+        right.rows.push_back(i);
+        right.g_sum += g[i];
+        right.h_sum += h[i];
+      }
+    }
+    gains_[split_feature] += leaf.best.gain;
+
+    nodes_.push_back({.weight = LeafWeight(left.g_sum, left.h_sum, lambda)});
+    left.node_index = static_cast<int32_t>(nodes_.size() - 1);
+    nodes_.push_back({.weight = LeafWeight(right.g_sum, right.h_sum, lambda)});
+    right.node_index = static_cast<int32_t>(nodes_.size() - 1);
+
+    Node& parent = nodes_[static_cast<size_t>(leaf.node_index)];
+    parent.feature = leaf.best.feature;
+    parent.threshold = binned.UpperEdge(split_feature, leaf.best.bin);
+    parent.left = left.node_index;
+    parent.right = right.node_index;
+
+    left.best = FindBestSplit(binned, g, h, left, lambda, config.min_samples_leaf);
+    right.best = FindBestSplit(binned, g, h, right, lambda, config.min_samples_leaf);
+    leaves.push_back(std::move(left));
+    leaves.push_back(std::move(right));
+  }
+}
+
+void GbdtTree::FitOblivious(const BinnedMatrix& binned,
+                            const std::vector<double>& g,
+                            const std::vector<double>& h,
+                            const GbdtTreeConfig& config) {
+  FEDFC_CHECK(g.size() == binned.rows() && h.size() == binned.rows());
+  nodes_.clear();
+  gains_.assign(binned.cols(), 0.0);
+  const size_t n = binned.rows();
+  const double lambda = config.reg_lambda;
+  // leaf_of[i]: current leaf index of row i; bit l is set when row i went
+  // right at level l.
+  std::vector<size_t> leaf_of(n, 0);
+  std::vector<int> level_features;
+  std::vector<double> level_thresholds;
+
+  for (int level = 0; level < config.max_depth; ++level) {
+    const size_t n_groups = size_t{1} << level;
+    double best_gain = config.min_gain;
+    int best_feature = -1;
+    int best_bin = -1;
+
+    // Current score: sum over groups of G^2/(H+l).
+    std::vector<double> group_g(n_groups, 0.0), group_h(n_groups, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      group_g[leaf_of[i]] += g[i];
+      group_h[leaf_of[i]] += h[i];
+    }
+    double parent_score = 0.0;
+    for (size_t gr = 0; gr < n_groups; ++gr) {
+      parent_score += LeafScore(group_g[gr], group_h[gr], lambda);
+    }
+
+    std::vector<double> hg, hh;
+    for (size_t f = 0; f < binned.cols(); ++f) {
+      int nb = binned.n_bins(f);
+      if (nb < 2) continue;
+      const size_t n_bins = static_cast<size_t>(nb);
+      // Histogram per (group, bin).
+      hg.assign(n_groups * n_bins, 0.0);
+      hh.assign(n_groups * n_bins, 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        size_t slot = leaf_of[i] * n_bins + binned.bin(i, f);
+        hg[slot] += g[i];
+        hh[slot] += h[i];
+      }
+      // Scan candidate bins; the same bin threshold splits every group.
+      for (size_t b = 0; b + 1 < n_bins; ++b) {
+        double score = 0.0;
+        for (size_t gr = 0; gr < n_groups; ++gr) {
+          double gl = 0.0, hl = 0.0;
+          for (size_t bb = 0; bb <= b; ++bb) {
+            gl += hg[gr * n_bins + bb];
+            hl += hh[gr * n_bins + bb];
+          }
+          score += LeafScore(gl, hl, lambda) +
+                   LeafScore(group_g[gr] - gl, group_h[gr] - hl, lambda);
+        }
+        double gain = 0.5 * (score - parent_score);
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = static_cast<int>(f);
+          best_bin = static_cast<int>(b);
+        }
+      }
+    }
+
+    if (best_feature < 0) break;  // No useful split at this level.
+    const size_t split_feature = static_cast<size_t>(best_feature);
+    gains_[split_feature] += best_gain;
+    level_features.push_back(best_feature);
+    level_thresholds.push_back(binned.UpperEdge(split_feature, best_bin));
+    for (size_t i = 0; i < n; ++i) {
+      if (binned.bin(i, split_feature) > best_bin) {
+        leaf_of[i] |= size_t{1} << level;
+      }
+    }
+  }
+
+  const size_t depth = level_features.size();
+  const size_t n_leaves = size_t{1} << depth;
+  std::vector<double> leaf_g(n_leaves, 0.0), leaf_h(n_leaves, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    leaf_g[leaf_of[i]] += g[i];
+    leaf_h[leaf_of[i]] += h[i];
+  }
+  // Preorder layout: the node at `level` on path `leaf` (bits of the levels
+  // above it) splits on that level's feature; its right subtree sets bit
+  // `level`.
+  auto emit = [&](auto& self, size_t level, size_t leaf) -> int32_t {
+    const size_t index = nodes_.size();
+    if (level == depth) {
+      nodes_.push_back({.weight = LeafWeight(leaf_g[leaf], leaf_h[leaf], lambda)});
+    } else {
+      nodes_.push_back({.feature = level_features[level],
+                        .threshold = level_thresholds[level]});
+      const int32_t left = self(self, level + 1, leaf);
+      const int32_t right = self(self, level + 1, leaf | (size_t{1} << level));
+      nodes_[index].left = left;
+      nodes_[index].right = right;
+    }
+    return static_cast<int32_t>(index);
+  };
+  emit(emit, 0, 0);
 }
 
 void GbdtTree::AppendTo(std::vector<double>* out) const {

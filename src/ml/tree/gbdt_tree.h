@@ -6,6 +6,7 @@
 
 #include "core/matrix.h"
 #include "core/result.h"
+#include "ml/tree/feature_binning.h"
 
 namespace fedfc::ml::gbdt_internal {
 
@@ -20,15 +21,32 @@ struct GbdtTreeConfig {
 /// One regression tree fitted to first/second-order gradients with the
 /// XGBoost split gain
 ///   0.5 * (GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l))
-/// and leaf weight -G/(H+l). Exact greedy split finding on sorted features.
+/// and leaf weight -G/(H+l). Every boosted model in the library is built
+/// from this one node tree; the three growers below differ only in how they
+/// choose splits.
 class GbdtTree {
  public:
+  /// Depth-wise exact greedy split finding on sorted features (XGBoost).
   /// Fits on the rows in `sample_indices` (all rows when empty). `g` and `h`
   /// are per-row gradient/hessian; `h` entries must be positive.
   void Fit(const Matrix& x, const std::vector<double>& g,
            const std::vector<double>& h, const std::vector<size_t>& sample_indices,
            const GbdtTreeConfig& config);
 
+  /// Leaf-wise (best-first) growth on quantile bins (LightGBM): splits the
+  /// leaf with the highest gain until `max_leaves` leaves exist or no split
+  /// gains more than `config.min_gain`. Ignores `config.max_depth`.
+  void FitLeafWise(const BinnedMatrix& binned, const std::vector<double>& g,
+                   const std::vector<double>& h, int max_leaves,
+                   const GbdtTreeConfig& config);
+
+  /// Oblivious (symmetric) growth on quantile bins (CatBoost): every level
+  /// applies one (feature, threshold) split to all of its nodes, for at most
+  /// `config.max_depth` levels. Laid out as a full preorder node tree.
+  void FitOblivious(const BinnedMatrix& binned, const std::vector<double>& g,
+                    const std::vector<double>& h, const GbdtTreeConfig& config);
+
+  /// Goes left when row[feature] <= threshold; a NaN feature goes right.
   [[nodiscard]] double PredictRow(const double* row) const;
 
   [[nodiscard]] size_t n_nodes() const { return nodes_.size(); }
@@ -39,6 +57,12 @@ class GbdtTree {
   [[nodiscard]] int MaxFeature() const;
   /// Total split gain per feature (for importances).
   [[nodiscard]] const std::vector<double>& feature_gains() const { return gains_; }
+
+  /// Rewrites every node weight w as fn(w) (the federated merge's scaling).
+  template <typename Fn>
+  void MapWeights(Fn fn) {
+    for (Node& n : nodes_) n.weight = fn(n.weight);
+  }
 
   /// Flat numeric encoding (for FL model transfer): node count followed by
   /// (feature, threshold, left, right, weight) per node.

@@ -1,6 +1,5 @@
 #include "ml/tree/random_forest.h"
 
-#include "core/thread_pool.h"
 #include "core/vec_math.h"
 
 namespace fedfc::ml {
@@ -14,27 +13,6 @@ void NormalizeImportances(std::vector<double>* imp) {
   }
 }
 
-/// Fits `trees` in parallel, one independent RNG stream per tree (seeds drawn
-/// sequentially from `rng` first, so the result is schedule-independent).
-/// `fit(tree, tree_rng)` runs on a worker; statuses are collected per tree
-/// and the lowest-index failure is returned.
-template <typename FitFn>
-Status FitTreesParallel(std::vector<DecisionTree>* trees, size_t n_threads,
-                        Rng* rng, const FitFn& fit) {
-  std::vector<uint64_t> seeds(trees->size());
-  for (uint64_t& seed : seeds) seed = rng->engine()();
-  std::vector<Status> statuses(trees->size(), Status::OK());
-  ThreadPool pool(n_threads);
-  pool.ParallelFor(trees->size(), [&](size_t t) {
-    Rng tree_rng(seeds[t]);
-    statuses[t] = fit((*trees)[t], &tree_rng);
-  });
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status RandomForestRegressor::Fit(const Matrix& x, const std::vector<double>& y,
@@ -45,28 +23,13 @@ Status RandomForestRegressor::Fit(const Matrix& x, const std::vector<double>& y,
   }
   trees_.clear();
   importances_.assign(x.cols(), 0.0);
-  if (config_.n_threads > 1) {
-    trees_.assign(config_.n_trees,
-                  DecisionTree(DecisionTree::Task::kRegression, config_.tree));
-    FEDFC_RETURN_IF_ERROR(FitTreesParallel(
-        &trees_, config_.n_threads, rng,
-        [&](DecisionTree& tree, Rng* tree_rng) {
-          std::vector<size_t> idx;
-          if (config_.bootstrap) idx = tree_rng->Bootstrap(x.rows());
-          return tree.Fit(x, y, {}, 0, idx, tree_rng);
-        }));
-    for (const auto& tree : trees_) {
-      Axpy(1.0, tree.feature_importances(), &importances_);
-    }
-  } else {
-    for (size_t t = 0; t < config_.n_trees; ++t) {
-      DecisionTree tree(DecisionTree::Task::kRegression, config_.tree);
-      std::vector<size_t> idx;
-      if (config_.bootstrap) idx = rng->Bootstrap(x.rows());
-      FEDFC_RETURN_IF_ERROR(tree.Fit(x, y, {}, 0, idx, rng));
-      Axpy(1.0, tree.feature_importances(), &importances_);
-      trees_.push_back(std::move(tree));
-    }
+  for (size_t t = 0; t < config_.n_trees; ++t) {
+    DecisionTree tree(DecisionTree::Task::kRegression, config_.tree);
+    std::vector<size_t> idx;
+    if (config_.bootstrap) idx = rng->Bootstrap(x.rows());
+    FEDFC_RETURN_IF_ERROR(tree.Fit(x, y, {}, 0, idx, rng));
+    Axpy(1.0, tree.feature_importances(), &importances_);
+    trees_.push_back(std::move(tree));
   }
   NormalizeImportances(&importances_);
   return Status::OK();
@@ -92,28 +55,13 @@ Status RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y,
   n_classes_ = n_classes;
   trees_.clear();
   importances_.assign(x.cols(), 0.0);
-  if (config_.n_threads > 1) {
-    trees_.assign(config_.n_trees,
-                  DecisionTree(DecisionTree::Task::kClassification, config_.tree));
-    FEDFC_RETURN_IF_ERROR(FitTreesParallel(
-        &trees_, config_.n_threads, rng,
-        [&](DecisionTree& tree, Rng* tree_rng) {
-          std::vector<size_t> idx;
-          if (config_.bootstrap) idx = tree_rng->Bootstrap(x.rows());
-          return tree.Fit(x, {}, y, n_classes, idx, tree_rng);
-        }));
-    for (const auto& tree : trees_) {
-      Axpy(1.0, tree.feature_importances(), &importances_);
-    }
-  } else {
-    for (size_t t = 0; t < config_.n_trees; ++t) {
-      DecisionTree tree(DecisionTree::Task::kClassification, config_.tree);
-      std::vector<size_t> idx;
-      if (config_.bootstrap) idx = rng->Bootstrap(x.rows());
-      FEDFC_RETURN_IF_ERROR(tree.Fit(x, {}, y, n_classes, idx, rng));
-      Axpy(1.0, tree.feature_importances(), &importances_);
-      trees_.push_back(std::move(tree));
-    }
+  for (size_t t = 0; t < config_.n_trees; ++t) {
+    DecisionTree tree(DecisionTree::Task::kClassification, config_.tree);
+    std::vector<size_t> idx;
+    if (config_.bootstrap) idx = rng->Bootstrap(x.rows());
+    FEDFC_RETURN_IF_ERROR(tree.Fit(x, {}, y, n_classes, idx, rng));
+    Axpy(1.0, tree.feature_importances(), &importances_);
+    trees_.push_back(std::move(tree));
   }
   NormalizeImportances(&importances_);
   return Status::OK();

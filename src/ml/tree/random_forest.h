@@ -15,13 +15,6 @@ struct ForestConfig {
   size_t n_trees = 100;
   TreeConfig tree;
   bool bootstrap = true;
-  /// Trees trained concurrently. 1 (default) keeps the legacy sequential
-  /// path: all trees share the caller's RNG stream. With n_threads > 1 every
-  /// tree gets its own RNG stream, seeded by draws taken sequentially from
-  /// the caller's RNG *before* the parallel region — so the fitted forest is
-  /// deterministic and identical for every n_threads > 1, but (by
-  /// construction) a different draw sequence than the n_threads == 1 forest.
-  size_t n_threads = 1;
   /// Extra-Trees: no bootstrap, random thresholds.
   static ForestConfig ExtraTrees(size_t n_trees = 100) {
     ForestConfig c;

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
+
 #include "automl/fed_client.h"
+#include "automl/model_io.h"
 #include "data/generators.h"
+#include "fl/task_codec.h"
 #include "fl/transport.h"
 #include "ml/tree/random_forest.h"
 
@@ -25,16 +30,47 @@ std::vector<ts::Series> MakeSplits(size_t n_clients, size_t per_client,
   return *splits;
 }
 
+/// Forwards every task to `inner`, but sets the last value of its
+/// fit_final model blob to NaN: a blob no consumer can load.
+class NanFinalBlobClient : public fl::Client {
+ public:
+  explicit NanFinalBlobClient(std::shared_ptr<fl::Client> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string id() const override { return inner_->id(); }
+  size_t num_examples() const override { return inner_->num_examples(); }
+
+  Result<fl::Payload> Handle(const std::string& task,
+                             const fl::Payload& request) override {
+    FEDFC_ASSIGN_OR_RETURN(fl::Payload reply, inner_->Handle(task, request));
+    if (task != fl::tasks::kFitFinal) return reply;
+    FEDFC_ASSIGN_OR_RETURN(fl::FitFinalReply fit,
+                           fl::FitFinalReply::FromPayload(reply));
+    if (!fit.model_blob.empty()) {
+      fit.model_blob.back() = std::numeric_limits<double>::quiet_NaN();
+    }
+    return fit.ToPayload();
+  }
+
+ private:
+  std::shared_ptr<fl::Client> inner_;
+};
+
 std::unique_ptr<fl::Server> MakeServer(const std::vector<ts::Series>& splits,
-                                       uint64_t seed) {
+                                       uint64_t seed,
+                                       bool nan_final_blobs = false) {
   std::vector<std::shared_ptr<fl::Client>> clients;
   std::vector<size_t> sizes;
   for (size_t j = 0; j < splits.size(); ++j) {
     ForecastClient::Options opt;
     opt.seed = seed + j;
     sizes.push_back(splits[j].size());
-    clients.push_back(std::make_shared<ForecastClient>(
-        "c" + std::to_string(j), splits[j], opt));
+    std::shared_ptr<fl::Client> client = std::make_shared<ForecastClient>(
+        "c" + std::to_string(j), splits[j], opt);
+    if (nan_final_blobs) {
+      client = std::make_shared<NanFinalBlobClient>(std::move(client));
+    }
+    clients.push_back(std::move(client));
   }
   return std::make_unique<fl::Server>(
       std::make_unique<fl::InProcessTransport>(clients), sizes);
@@ -257,6 +293,35 @@ TEST(EngineTest, PartialParticipationRunsAndIsSeedReproducible) {
   // Fewer sampled clients per round means less traffic than full
   // participation would generate for the same round count.
   EXPECT_GT(a.transport.messages, 0u);
+}
+
+TEST(EngineTest, UnloadableFinalBlobFailsTheRunAndPublishesNothing) {
+  // The final-fit fold used to accept blobs that every consumer rejects.
+  // With evaluate_test off, the engine then published such a model as a
+  // committed registry version, which fedfc_serve refused on every poll.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "fedfc_engine_nan_blob";
+  std::filesystem::remove_all(dir);
+  std::vector<ts::Series> splits = MakeSplits(3, 150, 9);
+  auto server = MakeServer(splits, 10, /*nan_final_blobs=*/true);
+  EngineOptions opt = FastOptions();
+  opt.strategy = SearchStrategy::kRandom;
+  opt.use_meta_model = false;
+  opt.max_iterations = 2;
+  opt.evaluate_test = false;
+  opt.publish_dir = dir.string();
+  FedForecasterEngine engine(nullptr, opt);
+  Result<EngineReport> report = engine.Run(server.get());
+  EXPECT_FALSE(report.ok());
+
+  size_t committed = 0;
+  std::error_code ec;
+  for (std::filesystem::recursive_directory_iterator it(dir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (it->path().filename() == kRegistryManifestFile) ++committed;
+  }
+  EXPECT_EQ(committed, 0u);
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(EngineTest, LossHistoryBestIsReportedBest) {

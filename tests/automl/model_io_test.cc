@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 
 #include "core/rng.h"
@@ -158,6 +159,60 @@ TEST(AggregateBlobsTest, RejectsBadInputs) {
   EXPECT_FALSE(FoldBlobs(config, {{1.0}}, {0.0}).ok());
   Configuration xgb = XgbConfig();
   EXPECT_FALSE(FoldBlobs(xgb, {{1.0}}, {1.0}).ok());  // Short blob.
+}
+
+Result<std::vector<double>> FittedBlob(const Configuration& config,
+                                       double slope, uint64_t seed) {
+  Problem p = MakeProblem(slope, seed);
+  FEDFC_ASSIGN_OR_RETURN(std::unique_ptr<ml::Regressor> model,
+                         CreateRegressor(config));
+  Rng rng(seed + 1);
+  FEDFC_RETURN_IF_ERROR(model->Fit(p.x, p.y, &rng));
+  return SerializeModel(config, *model);
+}
+
+TEST(AggregateBlobsTest, RejectsBlobsNoConsumerCanLoadAndLeavesTheFoldUnchanged) {
+  // The fold used to walk the blob layout by hand and accepted all five of
+  // these, which DeserializeModel rejects: Finish then returned a global
+  // model no client, evaluate round or Forecaster could load.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* name;
+    Configuration config;
+    std::vector<double> blob;
+  };
+  const std::vector<Case> cases = {
+      {"xgb split pointing at itself", XgbConfig(),
+       {0.5, 0.1, 1.0, /*tree*/ 1.0, 0.0, 0.5, 0.0, 0.0, 0.0}},
+      {"xgb NaN leaf", XgbConfig(),
+       {0.5, 0.1, 1.0, /*tree*/ 1.0, -1.0, 0.0, -1.0, -1.0, nan}},
+      {"xgb zero trees", XgbConfig(), {0.5, 0.1, 0.0}},
+      {"linear NaN weight", HuberConfig(), {1.0, nan, 2.0}},
+      {"linear empty", HuberConfig(), {}},
+  };
+  for (const Case& c : cases) {
+    ModelBlobAccumulator fresh(c.config);
+    EXPECT_EQ(fresh.Add(1.0, c.blob).code(), StatusCode::kInvalidArgument)
+        << c.name;
+
+    Result<std::vector<double>> good1 = FittedBlob(c.config, 2.0, 61);
+    Result<std::vector<double>> good2 = FittedBlob(c.config, -1.0, 63);
+    ASSERT_TRUE(good1.ok() && good2.ok()) << c.name;
+    ModelBlobAccumulator with_bad(c.config);
+    ASSERT_TRUE(with_bad.Add(40.0, *good1).ok());
+    EXPECT_EQ(with_bad.Add(25.0, c.blob).code(), StatusCode::kInvalidArgument)
+        << c.name;
+    ASSERT_TRUE(with_bad.Add(35.0, *good2).ok());
+    Result<std::vector<double>> folded = with_bad.Finish();
+    Result<std::vector<double>> expected =
+        FoldBlobs(c.config, {*good1, *good2}, {40.0, 35.0});
+    ASSERT_TRUE(folded.ok() && expected.ok()) << c.name;
+    ASSERT_EQ(folded->size(), expected->size()) << c.name;
+    EXPECT_EQ(std::memcmp(folded->data(), expected->data(),
+                          folded->size() * sizeof(double)),
+              0)
+        << c.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

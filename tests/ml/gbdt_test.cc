@@ -8,8 +8,6 @@
 #include "core/rng.h"
 #include "ml/metrics.h"
 #include "ml/tree/gbdt_tree.h"
-#include "ml/tree/hist_gbdt.h"
-#include "ml/tree/oblivious_gbdt.h"
 
 namespace fedfc::ml {
 namespace {
@@ -319,6 +317,45 @@ TEST(ObliviousGbdtTest, RejectsBadInputs) {
   EXPECT_FALSE(model.Fit(Matrix(), {}, 3, &rng).ok());
   MultiClass p = MakeThreeClass(50, 26);
   EXPECT_FALSE(model.Fit(p.x, p.y, 1, &rng).ok());
+
+  // Zero boosting rounds used to fit "successfully" with no trees, and the
+  // next PredictProba aborted; the shared fit loop rejects it for all three.
+  GbdtConfig gbdt;
+  gbdt.n_estimators = 0;
+  HistGbdtClassifier::Config hist;
+  hist.n_estimators = 0;
+  ObliviousGbdtClassifier::Config oblivious;
+  oblivious.n_estimators = 0;
+  std::vector<std::unique_ptr<Classifier>> boosters;
+  boosters.push_back(std::make_unique<GbdtClassifier>(gbdt));
+  boosters.push_back(std::make_unique<HistGbdtClassifier>(hist));
+  boosters.push_back(std::make_unique<ObliviousGbdtClassifier>(oblivious));
+  for (const auto& booster : boosters) {
+    EXPECT_EQ(booster->Fit(p.x, p.y, 3, &rng).code(),
+              StatusCode::kInvalidArgument)
+        << booster->Name();
+  }
+}
+
+TEST(ObliviousGbdtTest, NanFeatureGoesRightLikeEveryBooster) {
+  // Every booster is a GbdtTree, which sends a NaN feature right: a NaN row
+  // predicts exactly like +inf. Oblivious trees used to send it left.
+  MultiClass p = MakeThreeClass(300, 27);
+  std::vector<std::unique_ptr<Classifier>> boosters;
+  boosters.push_back(std::make_unique<GbdtClassifier>());
+  boosters.push_back(std::make_unique<HistGbdtClassifier>());
+  boosters.push_back(std::make_unique<ObliviousGbdtClassifier>());
+  Matrix nan_row({{std::numeric_limits<double>::quiet_NaN(), 0.5}});
+  Matrix inf_row({{std::numeric_limits<double>::infinity(), 0.5}});
+  for (const auto& booster : boosters) {
+    Rng rng(28);
+    ASSERT_TRUE(booster->Fit(p.x, p.y, 3, &rng).ok()) << booster->Name();
+    Matrix from_nan = booster->PredictProba(nan_row);
+    Matrix from_inf = booster->PredictProba(inf_row);
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(from_nan(0, c), from_inf(0, c)) << booster->Name();
+    }
+  }
 }
 
 }  // namespace

@@ -134,68 +134,6 @@ TEST(RandomForestRegressorTest, RequiresRng) {
   EXPECT_FALSE(forest.Fit(p.x, p.y_reg, nullptr).ok());
 }
 
-TEST(ParallelForestTest, ThreadCountDoesNotChangeTheForest) {
-  // Per-tree seeds are drawn before the parallel region, so any n_threads > 1
-  // yields the identical ensemble regardless of scheduling.
-  StepProblem p = MakeStep(300, 18);
-  std::vector<std::vector<double>> predictions;
-  std::vector<std::vector<double>> importances;
-  for (size_t n_threads : {2u, 4u}) {
-    ForestConfig cfg;
-    cfg.n_trees = 24;
-    cfg.n_threads = n_threads;
-    RandomForestRegressor forest(cfg);
-    Rng rng(19);
-    ASSERT_TRUE(forest.Fit(p.x, p.y_reg, &rng).ok());
-    predictions.push_back(forest.Predict(p.x));
-    importances.push_back(forest.feature_importances());
-  }
-  ASSERT_EQ(predictions[0].size(), predictions[1].size());
-  for (size_t i = 0; i < predictions[0].size(); ++i) {
-    EXPECT_DOUBLE_EQ(predictions[0][i], predictions[1][i]) << i;
-  }
-  for (size_t i = 0; i < importances[0].size(); ++i) {
-    EXPECT_DOUBLE_EQ(importances[0][i], importances[1][i]) << i;
-  }
-}
-
-TEST(ParallelForestTest, ParallelFitStillLearns) {
-  Rng rng(20);
-  Matrix x(400, 2);
-  std::vector<double> y(400);
-  for (size_t i = 0; i < 400; ++i) {
-    x(i, 0) = rng.Uniform(-3, 3);
-    x(i, 1) = rng.Uniform(-3, 3);
-    y[i] = std::sin(x(i, 0)) + 0.5 * x(i, 1) * x(i, 1);
-  }
-  ForestConfig cfg;
-  cfg.n_trees = 30;
-  cfg.n_threads = 4;
-  RandomForestRegressor forest(cfg);
-  Rng fit_rng(21);
-  ASSERT_TRUE(forest.Fit(x, y, &fit_rng).ok());
-  EXPECT_LT(MeanSquaredError(y, forest.Predict(x)), 0.3);
-}
-
-TEST(ParallelForestTest, ParallelClassifierMatchesAcrossThreadCounts) {
-  StepProblem p = MakeStep(300, 22);
-  std::vector<Matrix> probas;
-  for (size_t n_threads : {2u, 3u}) {
-    ForestConfig cfg;
-    cfg.n_trees = 16;
-    cfg.n_threads = n_threads;
-    RandomForestClassifier forest(cfg);
-    Rng rng(23);
-    ASSERT_TRUE(forest.Fit(p.x, p.y_cls, 2, &rng).ok());
-    probas.push_back(forest.PredictProba(p.x));
-  }
-  for (size_t r = 0; r < probas[0].rows(); ++r) {
-    for (size_t c = 0; c < probas[0].cols(); ++c) {
-      EXPECT_DOUBLE_EQ(probas[0](r, c), probas[1](r, c));
-    }
-  }
-}
-
 TEST(RandomForestClassifierTest, ProbabilitiesAreCalibratedVotes) {
   StepProblem p = MakeStep(400, 18);
   ForestConfig cfg;
