@@ -1,7 +1,7 @@
 /// Google-benchmark micro-benchmarks for the substrate costs behind the
 /// paper's runtime numbers: FFT/periodogram, ACF/PACF, ADF, meta-feature
-/// extraction, GP fit + EI proposal, tree/boosting fits, and payload
-/// serialization.
+/// extraction, GP fit + EI proposal, tree/boosting and coordinate-descent
+/// fits, and payload serialization.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,8 @@
 #include "data/generators.h"
 #include "features/meta_features.h"
 #include "fl/payload.h"
+#include "ml/linear/elastic_net.h"
+#include "ml/linear/lasso.h"
 #include "ml/tree/gbdt.h"
 #include "ml/tree/random_forest.h"
 #include "ts/acf.h"
@@ -144,6 +146,55 @@ void BM_RandomForestFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomForestFit)->Arg(500)->Arg(2000);
+
+/// `n` rows of `d` autoregressive lags of the bench signal and the next
+/// value as the target: the shape of a client's engineered feature matrix.
+struct LagProblem {
+  Matrix x;
+  std::vector<double> y;
+};
+
+LagProblem MakeLagProblem(size_t n, size_t d) {
+  const std::vector<double> s = BenchSignal(n + d);
+  LagProblem p{Matrix(n, d), std::vector<double>(n)};
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < d; ++j) p.x(i, j) = s[i + d - 1 - j];
+    p.y[i] = s[i + d];
+  }
+  return p;
+}
+
+// (n, d) pairs seen most often among the automl_bo suite's engineered
+// client matrices (perfbench, seed 1).
+void LinearFitShapes(benchmark::internal::Benchmark* b) {
+  b->Args({76, 4})->Args({85, 13})->Args({80, 11})->Args({328, 16});
+}
+
+void BM_LassoFit(benchmark::State& state) {
+  const LagProblem p = MakeLagProblem(static_cast<size_t>(state.range(0)),
+                                      static_cast<size_t>(state.range(1)));
+  ml::LassoRegressor::Config cfg;
+  cfg.alpha = 0.01;
+  for (auto _ : state) {
+    ml::LassoRegressor model(cfg);
+    Rng fit_rng(41);
+    benchmark::DoNotOptimize(model.Fit(p.x, p.y, &fit_rng));
+  }
+}
+BENCHMARK(BM_LassoFit)->Apply(LinearFitShapes);
+
+void BM_ElasticNetCvFit(benchmark::State& state) {
+  const LagProblem p = MakeLagProblem(static_cast<size_t>(state.range(0)),
+                                      static_cast<size_t>(state.range(1)));
+  ml::ElasticNetCvRegressor::Config cfg;
+  cfg.l1_ratio = 0.5;
+  for (auto _ : state) {
+    ml::ElasticNetCvRegressor model(cfg);
+    Rng fit_rng(43);
+    benchmark::DoNotOptimize(model.Fit(p.x, p.y, &fit_rng));
+  }
+}
+BENCHMARK(BM_ElasticNetCvFit)->Apply(LinearFitShapes);
 
 void BM_PayloadRoundTrip(benchmark::State& state) {
   fl::Payload payload;

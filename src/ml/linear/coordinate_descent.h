@@ -22,15 +22,42 @@ struct CdOptions {
   double tol = 1e-5;        ///< Max coordinate update below which we stop.
 };
 
+/// The least-squares sufficient statistics of the first `n` rows of (X, y):
+/// G = XᵀX/n (row-major, d x d) and q = Xᵀy/n, plus the unscaled Xᵀy sums
+/// the ElasticNetCV alpha path starts from.
+struct Gram {
+  size_t n = 0;
+  size_t d = 0;
+  std::vector<double> g;
+  std::vector<double> q;
+  std::vector<double> xty;
+};
+
+/// Builds one Gram per entry of `ends` (non-decreasing, each in [1, rows]),
+/// each over the row prefix [0, end). The raw sums are accumulated once, in
+/// row order, and snapshotted at every end, so a prefix's Gram is bit-equal
+/// to one built on that prefix alone. Plain loops, not the dispatched kernel
+/// layer: the sums are bit-identical on every backend.
+std::vector<Gram> PrefixGrams(const Matrix& x, const std::vector<double>& y,
+                              const std::vector<size_t>& ends);
+
 /// Minimizes the scikit-learn elastic-net objective
 ///   1/(2n) ||y - X w||^2 + alpha * l1_ratio * ||w||_1
 ///     + 0.5 * alpha * (1 - l1_ratio) * ||w||^2
-/// by cyclic or random coordinate descent with soft-thresholding.
-/// `x` should be (approximately) standardized for good conditioning; callers
-/// inside this library always pass standardized data. Returns the weight
-/// vector; the intercept is handled by the caller (zero for centered data).
-std::vector<double> CoordinateDescent(const Matrix& x, const std::vector<double>& y,
-                                      const CdOptions& options, Rng* rng);
+/// by cyclic or random coordinate descent with soft-thresholding, in
+/// covariance form (Friedman, Hastie & Tibshirani, JSS 2010): with Gw kept
+/// current, rho_j = q_j - (Gw)_j + G_jj w_j, and a coordinate update costs
+/// O(d), paid only when w_j changes. Starts cold from w = 0. X should be
+/// (approximately) standardized for good conditioning; callers inside this
+/// library always pass standardized data. Returns the weight vector; the
+/// intercept is handled by the caller (zero for centered data).
+std::vector<double> CoordinateDescent(const Gram& gram, const CdOptions& options,
+                                      Rng* rng);
+
+/// The intercept of least squares on the row prefix [0, n) given weights w:
+/// mean(y) - mean(X w), each summed in row order.
+double PrefixIntercept(const Matrix& x, const std::vector<double>& y, size_t n,
+                       const std::vector<double>& w);
 
 /// Soft-thresholding operator S(z, g) = sign(z) * max(|z| - g, 0).
 double SoftThreshold(double z, double gamma);

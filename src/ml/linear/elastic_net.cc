@@ -8,46 +8,46 @@
 
 namespace fedfc::ml {
 
-namespace {
-
-double InterceptFor(const Matrix& x, const std::vector<double>& y,
-                    const std::vector<double>& w) {
-  std::vector<double> pred(x.rows(), 0.0);
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const double* row = x.Row(r);
-    double acc = 0.0;
-    for (size_t c = 0; c < x.cols(); ++c) acc += row[c] * w[c];
-    pred[r] = acc;
-  }
-  return Mean(y) - Mean(pred);
-}
-
-/// alpha_max: smallest alpha for which all coefficients are zero under the
-/// scikit-learn scaling, max_j |x_j . y| / (n * l1_ratio).
-double AlphaMax(const Matrix& x, const std::vector<double>& y, double l1_ratio) {
-  double best = 0.0;
-  for (size_t j = 0; j < x.cols(); ++j) {
-    double dot = 0.0;
-    for (size_t r = 0; r < x.rows(); ++r) dot += x(r, j) * y[r];
-    best = std::max(best, std::fabs(dot));
-  }
-  double denom = static_cast<double>(x.rows()) * std::max(l1_ratio, 1e-3);
-  return best / denom;
-}
-
-}  // namespace
-
 Status ElasticNetCvRegressor::FitStandardized(const Matrix& x,
                                               const std::vector<double>& y, Rng* rng,
                                               std::vector<double>* weights_std,
                                               double* intercept_std) {
+  if (config_.n_alphas == 0) {
+    return Status::InvalidArgument("ElasticNetCV: n_alphas must be positive");
+  }
+  if (!(config_.alpha_min_ratio > 0.0 && config_.alpha_min_ratio <= 1.0)) {
+    return Status::InvalidArgument("ElasticNetCV: alpha_min_ratio must lie in (0, 1]");
+  }
   // The paper's Table 2 lists l1_ratio in [0.3:10]; scikit-learn clips the
   // mixing ratio to [0, 1], so values above 1 saturate at pure Lasso.
   double l1_ratio = Clamp(config_.l1_ratio, 0.0, 1.0);
   const size_t n = x.rows();
   if (n < 8) return Status::InvalidArgument("ElasticNetCV: too few samples");
 
-  double alpha_max = std::max(AlphaMax(x, y, l1_ratio), 1e-8);
+  // Forward-chaining folds: train on a prefix, validate on the next block.
+  // The training prefixes are nested, so one pass over the rows yields every
+  // fold's Gram and, last, the full-data Gram for alpha_max and the refit.
+  size_t folds = std::min<size_t>(config_.n_folds, n / 4);
+  folds = std::max<size_t>(folds, 1);
+  std::vector<size_t> ends;  // Training prefix ends, then n.
+  std::vector<size_t> valid_ends;
+  for (size_t f = 0; f < folds; ++f) {
+    size_t train_end = n * (f + 1) / (folds + 1);
+    size_t valid_end = n * (f + 2) / (folds + 1);
+    if (train_end < 4 || valid_end <= train_end) continue;
+    ends.push_back(train_end);
+    valid_ends.push_back(valid_end);
+  }
+  ends.push_back(n);
+  const std::vector<Gram> grams = PrefixGrams(x, y, ends);
+  const Gram& full = grams.back();
+
+  // alpha_max: smallest alpha for which all coefficients are zero under the
+  // scikit-learn scaling, max_j |x_j . y| / (n * l1_ratio).
+  double max_xty = 0.0;
+  for (double v : full.xty) max_xty = std::max(max_xty, std::fabs(v));
+  double alpha_max =
+      std::max(max_xty / (static_cast<double>(n) * std::max(l1_ratio, 1e-3)), 1e-8);
   std::vector<double> alphas;
   for (size_t i = 0; i < config_.n_alphas; ++i) {
     double t = config_.n_alphas > 1
@@ -56,32 +56,21 @@ Status ElasticNetCvRegressor::FitStandardized(const Matrix& x,
     alphas.push_back(alpha_max * std::pow(config_.alpha_min_ratio, t));
   }
 
-  // Forward-chaining folds: train on a prefix, validate on the next block.
-  size_t folds = std::min<size_t>(config_.n_folds, n / 4);
-  folds = std::max<size_t>(folds, 1);
+  CdOptions opts;
+  opts.l1_ratio = l1_ratio;
+  opts.selection = config_.selection;
+  opts.max_iter = config_.max_iter;
+  opts.tol = config_.tol;
   double best_cv = std::numeric_limits<double>::infinity();
   double best_alpha = alphas.back();
   for (double alpha : alphas) {
+    opts.alpha = alpha;
     double cv_loss = 0.0;
-    size_t used = 0;
-    for (size_t f = 0; f < folds; ++f) {
-      size_t train_end = n * (f + 1) / (folds + 1);
-      size_t valid_end = n * (f + 2) / (folds + 1);
-      if (train_end < 4 || valid_end <= train_end) continue;
-      std::vector<size_t> train_idx(train_end);
-      for (size_t i = 0; i < train_end; ++i) train_idx[i] = i;
-      Matrix xt = x.SelectRows(train_idx);
-      std::vector<double> yt(y.begin(),
-                             y.begin() + static_cast<std::ptrdiff_t>(train_end));
-
-      CdOptions opts;
-      opts.alpha = alpha;
-      opts.l1_ratio = l1_ratio;
-      opts.selection = config_.selection;
-      opts.max_iter = config_.max_iter;
-      opts.tol = config_.tol;
-      std::vector<double> w = CoordinateDescent(xt, yt, opts, rng);
-      double b = InterceptFor(xt, yt, w);
+    for (size_t f = 0; f < valid_ends.size(); ++f) {
+      const size_t train_end = ends[f];
+      const size_t valid_end = valid_ends[f];
+      std::vector<double> w = CoordinateDescent(grams[f], opts, rng);
+      double b = PrefixIntercept(x, y, train_end, w);
       double loss = 0.0;
       for (size_t i = train_end; i < valid_end; ++i) {
         const double* row = x.Row(i);
@@ -90,10 +79,9 @@ Status ElasticNetCvRegressor::FitStandardized(const Matrix& x,
         loss += (pred - y[i]) * (pred - y[i]);
       }
       cv_loss += loss / static_cast<double>(valid_end - train_end);
-      ++used;
     }
-    if (used == 0) continue;
-    cv_loss /= static_cast<double>(used);
+    if (valid_ends.empty()) continue;
+    cv_loss /= static_cast<double>(valid_ends.size());
     if (cv_loss < best_cv) {
       best_cv = cv_loss;
       best_alpha = alpha;
@@ -101,14 +89,9 @@ Status ElasticNetCvRegressor::FitStandardized(const Matrix& x,
   }
   chosen_alpha_ = best_alpha;
 
-  CdOptions opts;
   opts.alpha = best_alpha;
-  opts.l1_ratio = l1_ratio;
-  opts.selection = config_.selection;
-  opts.max_iter = config_.max_iter;
-  opts.tol = config_.tol;
-  *weights_std = CoordinateDescent(x, y, opts, rng);
-  *intercept_std = InterceptFor(x, y, *weights_std);
+  *weights_std = CoordinateDescent(full, opts, rng);
+  *intercept_std = PrefixIntercept(x, y, n, *weights_std);
   return Status::OK();
 }
 

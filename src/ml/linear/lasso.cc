@@ -1,7 +1,5 @@
 #include "ml/linear/lasso.h"
 
-#include "core/vec_math.h"
-
 namespace fedfc::ml {
 
 Status LassoRegressor::FitStandardized(const Matrix& x, const std::vector<double>& y,
@@ -16,16 +14,9 @@ Status LassoRegressor::FitStandardized(const Matrix& x, const std::vector<double
   opts.selection = config_.selection;
   opts.max_iter = config_.max_iter;
   opts.tol = config_.tol;
-  *weights_std = CoordinateDescent(x, y, opts, rng);
+  *weights_std = CoordinateDescent(PrefixGrams(x, y, {x.rows()}).front(), opts, rng);
   // Standardized target has zero mean; residual mean is the intercept.
-  std::vector<double> pred(x.rows(), 0.0);
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const double* row = x.Row(r);
-    double acc = 0.0;
-    for (size_t c = 0; c < x.cols(); ++c) acc += row[c] * (*weights_std)[c];
-    pred[r] = acc;
-  }
-  *intercept_std = Mean(y) - Mean(pred);
+  *intercept_std = PrefixIntercept(x, y, x.rows(), *weights_std);
   return Status::OK();
 }
 

@@ -14,6 +14,7 @@
 
 #include "automl/engine.h"
 #include "automl/fed_client.h"
+#include "backend_guard.h"
 #include "core/matrix.h"
 #include "core/rng.h"
 #include "data/generators.h"
@@ -22,20 +23,6 @@
 
 namespace fedfc::ml {
 namespace {
-
-/// Forces a backend for one test, restoring the previous choice on exit so
-/// test order never leaks dispatch state.
-class BackendGuard {
- public:
-  explicit BackendGuard(kernels::BackendKind kind)
-      : previous_(kernels::SetBackend(kind)) {}
-  ~BackendGuard() { kernels::SetBackend(previous_); }
-  BackendGuard(const BackendGuard&) = delete;
-  BackendGuard& operator=(const BackendGuard&) = delete;
-
- private:
-  kernels::BackendKind previous_;
-};
 
 std::vector<double> RandomVector(size_t n, Rng* rng) {
   std::vector<double> v(n);

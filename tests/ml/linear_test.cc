@@ -121,6 +121,27 @@ TEST(ElasticNetCvTest, PicksAlphaAndFits) {
   EXPECT_GT(model.chosen_alpha(), 0.0);
 }
 
+TEST(ElasticNetCvTest, RejectsConfigsItCannotFit) {
+  // An empty alpha path has no alpha to refit with, and a ratio outside
+  // (0, 1] puts zero, negative, non-finite or rising strengths on the path.
+  LinearProblem p = MakeProblem(60, 0.1, 18);
+  ElasticNetCvRegressor::Config no_alphas;
+  no_alphas.n_alphas = 0;
+  std::vector<ElasticNetCvRegressor::Config> configs = {no_alphas};
+  for (double ratio : {0.0, -0.5, 1.5, std::nan(""), HUGE_VAL}) {
+    ElasticNetCvRegressor::Config cfg;
+    cfg.alpha_min_ratio = ratio;
+    configs.push_back(cfg);
+  }
+  for (const ElasticNetCvRegressor::Config& cfg : configs) {
+    ElasticNetCvRegressor model(cfg);
+    Rng rng(19);
+    Status s = model.Fit(p.x, p.y, &rng);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+        << "n_alphas " << cfg.n_alphas << ", alpha_min_ratio " << cfg.alpha_min_ratio;
+  }
+}
+
 TEST(ElasticNetCvTest, L1RatioAboveOneIsClipped) {
   // Table 2 allows l1_ratio up to 10; it must behave like pure Lasso.
   LinearProblem p = MakeProblem(200, 0.05, 16);
