@@ -1,13 +1,18 @@
 /// Google-benchmark micro-benchmarks for the substrate costs behind the
 /// paper's runtime numbers: FFT/periodogram, ACF/PACF, ADF, meta-feature
 /// extraction, GP fit + EI proposal, tree/boosting and coordinate-descent
-/// fits, and payload serialization.
+/// fits (the importance forest, XGB and the meta-model forest at the shapes
+/// the engine meets), and payload serialization.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "automl/bayesopt/bayes_opt.h"
 #include "core/rng.h"
 #include "data/generators.h"
+#include "features/feature_selection.h"
 #include "features/meta_features.h"
 #include "fl/payload.h"
 #include "ml/linear/elastic_net.h"
@@ -195,6 +200,64 @@ void BM_ElasticNetCvFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ElasticNetCvFit)->Apply(LinearFitShapes);
+
+/// The client's Section 4.2.2 importance forest (25 trees, depth 8, 0.7 of
+/// the features) on an engineered-matrix shape.
+void BM_FeatureImportance(benchmark::State& state) {
+  const LagProblem p = MakeLagProblem(static_cast<size_t>(state.range(0)),
+                                      static_cast<size_t>(state.range(1)));
+  features::EngineeredData data;
+  data.x = p.x;
+  data.y = p.y;
+  for (auto _ : state) {
+    Rng fit_rng(47);
+    benchmark::DoNotOptimize(features::ComputeFeatureImportances(data, &fit_rng));
+  }
+}
+BENCHMARK(BM_FeatureImportance)->Apply(LinearFitShapes);
+
+/// A mid-range Table 2 XGBRegressor configuration with row subsampling.
+void BM_XgbFit(benchmark::State& state) {
+  const LagProblem p = MakeLagProblem(static_cast<size_t>(state.range(0)),
+                                      static_cast<size_t>(state.range(1)));
+  ml::GbdtConfig cfg;
+  cfg.n_estimators = 12;
+  cfg.max_depth = 6;
+  cfg.learning_rate = 0.3;
+  cfg.reg_lambda = 5.0;
+  cfg.subsample = 0.8;
+  for (auto _ : state) {
+    ml::GbdtRegressor model(cfg);
+    Rng fit_rng(53);
+    benchmark::DoNotOptimize(model.Fit(p.x, p.y, &fit_rng));
+  }
+}
+BENCHMARK(BM_XgbFit)->Apply(LinearFitShapes);
+
+/// The Table 4 "Random Forest" meta-model (120 trees, depth 10, 0.5 of the
+/// features) on the knowledge base's training shape: 90 records of 51
+/// meta-features, labelled with one of the six Table 2 families.
+void BM_MetaModelForestFit(benchmark::State& state) {
+  constexpr size_t kRecords = 90, kMeta = 51, kFamilies = 6;
+  Rng rng(59);
+  Matrix x(kRecords, kMeta);
+  std::vector<int> y(kRecords);
+  for (size_t i = 0; i < kRecords; ++i) {
+    for (size_t j = 0; j < kMeta; ++j) x(i, j) = rng.Normal();
+    const double s = x(i, 0) + 0.5 * x(i, 1) - 0.25 * x(i, 2) + 0.5 * rng.Normal();
+    y[i] = static_cast<int>(std::min<double>(kFamilies - 1, std::floor(std::abs(s) * 2.0)));
+  }
+  ml::ForestConfig cfg;
+  cfg.n_trees = 120;
+  cfg.tree.max_depth = 10;
+  cfg.tree.max_features_fraction = 0.5;
+  for (auto _ : state) {
+    ml::RandomForestClassifier model(cfg);
+    Rng fit_rng(61);
+    benchmark::DoNotOptimize(model.Fit(x, y, static_cast<int>(kFamilies), &fit_rng));
+  }
+}
+BENCHMARK(BM_MetaModelForestFit);
 
 void BM_PayloadRoundTrip(benchmark::State& state) {
   fl::Payload payload;

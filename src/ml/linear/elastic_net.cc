@@ -18,6 +18,10 @@ Status ElasticNetCvRegressor::FitStandardized(const Matrix& x,
   if (!(config_.alpha_min_ratio > 0.0 && config_.alpha_min_ratio <= 1.0)) {
     return Status::InvalidArgument("ElasticNetCV: alpha_min_ratio must lie in (0, 1]");
   }
+  // Clamp would read NaN as 1 and silently fit pure Lasso.
+  if (std::isnan(config_.l1_ratio)) {
+    return Status::InvalidArgument("ElasticNetCV: l1_ratio is NaN");
+  }
   // The paper's Table 2 lists l1_ratio in [0.3:10]; scikit-learn clips the
   // mixing ratio to [0, 1], so values above 1 saturate at pure Lasso.
   double l1_ratio = Clamp(config_.l1_ratio, 0.0, 1.0);

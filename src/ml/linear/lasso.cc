@@ -5,7 +5,7 @@ namespace fedfc::ml {
 Status LassoRegressor::FitStandardized(const Matrix& x, const std::vector<double>& y,
                                        Rng* rng, std::vector<double>* weights_std,
                                        double* intercept_std) {
-  if (config_.alpha < 0.0) {
+  if (!(config_.alpha >= 0.0)) {  // Also rejects NaN.
     return Status::InvalidArgument("Lasso: alpha must be non-negative");
   }
   CdOptions opts;

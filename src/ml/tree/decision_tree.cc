@@ -10,23 +10,55 @@
 namespace fedfc::ml {
 
 struct DecisionTree::BuildContext {
-  const Matrix* x = nullptr;
+  tree_internal::ColumnBlocks* blocks = nullptr;
   const std::vector<double>* y_reg = nullptr;
   const std::vector<int>* y_cls = nullptr;
   Rng* rng = nullptr;
+  std::vector<size_t> all_features;
   size_t n_features_per_split = 0;
+  bool random_thresholds = false;
 };
 
 namespace {
 
-double GiniFromCounts(const std::vector<double>& counts, double total) {
-  if (total <= 0.0) return 0.0;
-  double g = 1.0;
-  for (double c : counts) {
-    double p = c / total;
-    g -= p * p;
+/// Extra-Trees split: one uniform threshold between the node's min and max
+/// per candidate feature, scored with the node statistic. Sorts nothing;
+/// rows are visited in draw order, so every sum keeps its order.
+template <typename Stat>
+tree_internal::ExactSplit RandomThresholdSplit(const Matrix& x, const uint32_t* rows,
+                                               size_t n,
+                                               const std::vector<size_t>& features,
+                                               size_t min_leaf, Rng* rng, Stat* stat) {
+  tree_internal::ExactSplit best;
+  best.gain = 1e-12;
+  for (size_t f : features) {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < n; ++i) {
+      const double v = x(rows[i], f);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    if (hi <= lo) continue;
+    const double thr = rng->Uniform(lo, hi);
+    stat->ResetLeft();
+    size_t n_left = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (x(rows[i], f) <= thr) {
+        stat->AddLeft(rows[i]);
+        ++n_left;
+      }
+    }
+    const size_t n_right = n - n_left;
+    if (n_left < min_leaf || n_right < min_leaf) continue;
+    const double gain = stat->Gain(n_left, n_right);
+    if (gain > best.gain) {
+      best.gain = gain;
+      best.feature = static_cast<int>(f);
+      best.threshold = thr;
+    }
   }
-  return g;
+  return best;
 }
 
 }  // namespace
@@ -34,6 +66,16 @@ double GiniFromCounts(const std::vector<double>& counts, double total) {
 Status DecisionTree::Fit(const Matrix& x, const std::vector<double>& y_reg,
                          const std::vector<int>& y_cls, int n_classes,
                          const std::vector<size_t>& sample_indices, Rng* rng) {
+  FEDFC_ASSIGN_OR_RETURN(tree_internal::SortedColumns sorted,
+                         tree_internal::SortedColumns::Build(x, "DecisionTree"));
+  return Fit(sorted, y_reg, y_cls, n_classes, sample_indices, rng);
+}
+
+Status DecisionTree::Fit(const tree_internal::SortedColumns& sorted,
+                         const std::vector<double>& y_reg,
+                         const std::vector<int>& y_cls, int n_classes,
+                         const std::vector<size_t>& sample_indices, Rng* rng) {
+  const Matrix& x = sorted.x();
   if (x.rows() == 0 || x.cols() == 0) {
     return Status::InvalidArgument("DecisionTree: empty design matrix");
   }
@@ -45,40 +87,48 @@ Status DecisionTree::Fit(const Matrix& x, const std::vector<double>& y_reg,
       return Status::InvalidArgument("DecisionTree: bad classification labels");
     }
   }
+  for (size_t i : sample_indices) {
+    if (i >= x.rows()) return Status::InvalidArgument("DecisionTree: sample row out of range");
+  }
   nodes_.clear();
   importances_.assign(x.cols(), 0.0);
   n_classes_ = n_classes;
 
   BuildContext ctx;
-  ctx.x = &x;
   ctx.y_reg = &y_reg;
   ctx.y_cls = &y_cls;
   ctx.rng = rng;
+  ctx.all_features.resize(x.cols());
+  std::iota(ctx.all_features.begin(), ctx.all_features.end(), 0);
   size_t k = static_cast<size_t>(
       std::ceil(config_.max_features_fraction * static_cast<double>(x.cols())));
   ctx.n_features_per_split = std::max<size_t>(1, std::min(k, x.cols()));
-
-  std::vector<size_t> indices = sample_indices;
-  if (indices.empty()) {
-    indices.resize(x.rows());
-    std::iota(indices.begin(), indices.end(), 0);
+  ctx.random_thresholds = config_.random_thresholds && rng != nullptr;
+  tree_internal::ColumnBlocks blocks(sorted, sample_indices, !ctx.random_thresholds);
+  ctx.blocks = &blocks;
+  if (task_ == Task::kRegression) {
+    tree_internal::VarianceStat stat(y_reg);
+    Build(&ctx, &stat, 0, blocks.size(), 0);
+  } else {
+    tree_internal::GiniStat stat(y_cls, static_cast<size_t>(n_classes));
+    Build(&ctx, &stat, 0, blocks.size(), 0);
   }
-  Build(&ctx, indices, 0);
   return Status::OK();
 }
 
-int32_t DecisionTree::MakeLeaf(BuildContext* ctx, const std::vector<size_t>& indices) {
+int32_t DecisionTree::MakeLeaf(const BuildContext& ctx, size_t lo, size_t n) {
+  const uint32_t* rows = ctx.blocks->draw(lo);
   Node leaf;
   if (task_ == Task::kRegression) {
     double sum = 0.0;
-    for (size_t i : indices) sum += (*ctx->y_reg)[i];
-    leaf.value = indices.empty() ? 0.0 : sum / static_cast<double>(indices.size());
+    for (size_t i = 0; i < n; ++i) sum += (*ctx.y_reg)[rows[i]];
+    leaf.value = n == 0 ? 0.0 : sum / static_cast<double>(n);
   } else {
     leaf.dist.assign(static_cast<size_t>(n_classes_), 0.0);
-    for (size_t i : indices) {
-      leaf.dist[static_cast<size_t>((*ctx->y_cls)[i])] += 1.0;
+    for (size_t i = 0; i < n; ++i) {
+      leaf.dist[static_cast<size_t>((*ctx.y_cls)[rows[i]])] += 1.0;
     }
-    double total = static_cast<double>(indices.size());
+    double total = static_cast<double>(n);
     if (total > 0.0) {
       for (double& d : leaf.dist) d /= total;
     } else {
@@ -89,223 +139,48 @@ int32_t DecisionTree::MakeLeaf(BuildContext* ctx, const std::vector<size_t>& ind
   return static_cast<int32_t>(nodes_.size() - 1);
 }
 
-int32_t DecisionTree::Build(BuildContext* ctx, std::vector<size_t>& indices,
+template <typename Stat>
+int32_t DecisionTree::Build(BuildContext* ctx, Stat* stat, size_t lo, size_t n,
                             int depth) {
-  const Matrix& x = *ctx->x;
-  const size_t n = indices.size();
-  const double dn = static_cast<double>(n);
-  const size_t num_classes = static_cast<size_t>(n_classes_ < 0 ? 0 : n_classes_);
-
-  bool stop = depth >= config_.max_depth || n < config_.min_samples_split ||
-              n < 2 * config_.min_samples_leaf;
-  if (!stop && task_ == Task::kClassification) {
-    int first = (*ctx->y_cls)[indices[0]];
-    bool pure = true;
-    for (size_t i : indices) {
-      if ((*ctx->y_cls)[i] != first) {
-        pure = false;
-        break;
-      }
-    }
-    stop = pure;
-  }
-  if (!stop && task_ == Task::kRegression) {
-    double first = (*ctx->y_reg)[indices[0]];
-    bool constant = true;
-    for (size_t i : indices) {
-      if ((*ctx->y_reg)[i] != first) {
-        constant = false;
-        break;
-      }
-    }
-    stop = constant;
-  }
-  if (stop) return MakeLeaf(ctx, indices);
+  const uint32_t* rows = ctx->blocks->draw(lo);
+  const bool stop = n == 0 || depth >= config_.max_depth ||
+                    n < config_.min_samples_split ||
+                    n < 2 * config_.min_samples_leaf || stat->Pure(rows, n);
+  if (stop) return MakeLeaf(*ctx, lo, n);
 
   // Candidate feature subset.
-  std::vector<size_t> features;
-  if (ctx->n_features_per_split >= x.cols() || ctx->rng == nullptr) {
-    features.resize(x.cols());
-    std::iota(features.begin(), features.end(), 0);
-  } else {
-    features = ctx->rng->Sample(x.cols(), ctx->n_features_per_split);
+  std::vector<size_t> sampled;
+  if (ctx->n_features_per_split < ctx->all_features.size() && ctx->rng != nullptr) {
+    sampled = ctx->rng->Sample(ctx->all_features.size(), ctx->n_features_per_split);
   }
+  const std::vector<size_t>& features = sampled.empty() ? ctx->all_features : sampled;
 
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  double best_gain = 1e-12;
+  stat->Begin(rows, n);
+  const tree_internal::ExactSplit best =
+      ctx->random_thresholds
+          ? RandomThresholdSplit(ctx->blocks->x(), rows, n, features,
+                                 config_.min_samples_leaf, ctx->rng, stat)
+          : tree_internal::FindBestExactSplit(*ctx->blocks, lo, n, features,
+                                              config_.min_samples_leaf, 1e-12, stat);
+  if (best.feature < 0) return MakeLeaf(*ctx, lo, n);
 
-  // Parent impurity terms.
-  double parent_impurity = 0.0;
-  std::vector<double> parent_counts;
-  double sum_y = 0.0, sum_y2 = 0.0;
-  if (task_ == Task::kRegression) {
-    for (size_t i : indices) {
-      double v = (*ctx->y_reg)[i];
-      sum_y += v;
-      sum_y2 += v * v;
-    }
-    parent_impurity = sum_y2 / dn - (sum_y / dn) * (sum_y / dn);
-  } else {
-    parent_counts.assign(num_classes, 0.0);
-    for (size_t i : indices) {
-      parent_counts[static_cast<size_t>((*ctx->y_cls)[i])] += 1.0;
-    }
-    parent_impurity = GiniFromCounts(parent_counts, dn);
-  }
-
-  std::vector<std::pair<double, size_t>> sorted;
-  sorted.reserve(n);
-  for (size_t f : features) {
-    if (config_.random_thresholds && ctx->rng != nullptr) {
-      // Extra-Trees: a single uniform threshold between the node min/max.
-      double lo = std::numeric_limits<double>::infinity();
-      double hi = -std::numeric_limits<double>::infinity();
-      for (size_t i : indices) {
-        double v = x(i, f);
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-      if (hi <= lo) continue;
-      double thr = ctx->rng->Uniform(lo, hi);
-      // Evaluate the single split.
-      double gain = 0.0;
-      size_t n_left = 0;
-      if (task_ == Task::kRegression) {
-        double sl = 0.0, sl2 = 0.0;
-        for (size_t i : indices) {
-          if (x(i, f) <= thr) {
-            double v = (*ctx->y_reg)[i];
-            sl += v;
-            sl2 += v * v;
-            ++n_left;
-          }
-        }
-        size_t n_right = n - n_left;
-        if (n_left < config_.min_samples_leaf || n_right < config_.min_samples_leaf) {
-          continue;
-        }
-        double dl = static_cast<double>(n_left);
-        double dr = static_cast<double>(n_right);
-        double sr = sum_y - sl, sr2 = sum_y2 - sl2;
-        double var_l = sl2 / dl - (sl / dl) * (sl / dl);
-        double var_r = sr2 / dr - (sr / dr) * (sr / dr);
-        gain = parent_impurity - (dl * var_l + dr * var_r) / dn;
-      } else {
-        std::vector<double> cl(num_classes, 0.0);
-        for (size_t i : indices) {
-          if (x(i, f) <= thr) {
-            cl[static_cast<size_t>((*ctx->y_cls)[i])] += 1.0;
-            ++n_left;
-          }
-        }
-        size_t n_right = n - n_left;
-        if (n_left < config_.min_samples_leaf || n_right < config_.min_samples_leaf) {
-          continue;
-        }
-        double dl = static_cast<double>(n_left);
-        double dr = static_cast<double>(n_right);
-        std::vector<double> cr(num_classes);
-        for (size_t c = 0; c < num_classes; ++c) cr[c] = parent_counts[c] - cl[c];
-        double gl = GiniFromCounts(cl, dl);
-        double gr = GiniFromCounts(cr, dr);
-        gain = parent_impurity - (dl * gl + dr * gr) / dn;
-      }
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_feature = static_cast<int>(f);
-        best_threshold = thr;
-      }
-      continue;
-    }
-
-    // Exact scan over sorted cut points.
-    sorted.clear();
-    for (size_t i : indices) sorted.emplace_back(x(i, f), i);
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.front().first == sorted.back().first) continue;
-
-    if (task_ == Task::kRegression) {
-      double sl = 0.0, sl2 = 0.0;
-      for (size_t pos = 0; pos + 1 < n; ++pos) {
-        double v = (*ctx->y_reg)[sorted[pos].second];
-        sl += v;
-        sl2 += v * v;
-        if (sorted[pos].first == sorted[pos + 1].first) continue;
-        size_t n_left = pos + 1;
-        size_t n_right = n - n_left;
-        if (n_left < config_.min_samples_leaf || n_right < config_.min_samples_leaf) {
-          continue;
-        }
-        double dl = static_cast<double>(n_left);
-        double dr = static_cast<double>(n_right);
-        double sr = sum_y - sl, sr2 = sum_y2 - sl2;
-        double var_l = sl2 / dl - (sl / dl) * (sl / dl);
-        double var_r = sr2 / dr - (sr / dr) * (sr / dr);
-        double gain = parent_impurity - (dl * var_l + dr * var_r) / dn;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (sorted[pos].first + sorted[pos + 1].first);
-        }
-      }
-    } else {
-      std::vector<double> cl(num_classes, 0.0);
-      for (size_t pos = 0; pos + 1 < n; ++pos) {
-        cl[static_cast<size_t>((*ctx->y_cls)[sorted[pos].second])] += 1.0;
-        if (sorted[pos].first == sorted[pos + 1].first) continue;
-        size_t n_left = pos + 1;
-        size_t n_right = n - n_left;
-        if (n_left < config_.min_samples_leaf || n_right < config_.min_samples_leaf) {
-          continue;
-        }
-        double dl = static_cast<double>(n_left);
-        double dr = static_cast<double>(n_right);
-        double gl = GiniFromCounts(cl, dl);
-        double gr = 0.0;
-        {
-          double g = 1.0;
-          for (size_t c = 0; c < num_classes; ++c) {
-            double p = (parent_counts[c] - cl[c]) / dr;
-            g -= p * p;
-          }
-          gr = g;
-        }
-        double gain = parent_impurity - (dl * gl + dr * gr) / dn;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (sorted[pos].first + sorted[pos + 1].first);
-        }
-      }
-    }
-  }
-
-  if (best_feature < 0) return MakeLeaf(ctx, indices);
-
-  importances_[static_cast<size_t>(best_feature)] += best_gain * dn;
-
-  std::vector<size_t> left_idx, right_idx;
-  left_idx.reserve(n);
-  right_idx.reserve(n);
-  for (size_t i : indices) {
-    if (x(i, static_cast<size_t>(best_feature)) <= best_threshold) {
-      left_idx.push_back(i);
-    } else {
-      right_idx.push_back(i);
-    }
-  }
-  // Free the parent's index list before recursing.
-  indices.clear();
-  indices.shrink_to_fit();
+  importances_[static_cast<size_t>(best.feature)] += best.gain * static_cast<double>(n);
+  // A child is split again only below max_depth and at the size limits.
+  const size_t min_split_size =
+      depth + 1 < config_.max_depth
+          ? std::max({config_.min_samples_split, 2 * config_.min_samples_leaf,
+                      size_t{1}})
+          : std::numeric_limits<size_t>::max();
+  const size_t n_left = ctx->blocks->Partition(
+      lo, n, static_cast<size_t>(best.feature), best.threshold, min_split_size);
 
   Node split;
-  split.feature = best_feature;
-  split.threshold = best_threshold;
+  split.feature = best.feature;
+  split.threshold = best.threshold;
   nodes_.push_back(std::move(split));
   int32_t self = static_cast<int32_t>(nodes_.size() - 1);
-  int32_t left = Build(ctx, left_idx, depth + 1);
-  int32_t right = Build(ctx, right_idx, depth + 1);
+  int32_t left = Build(ctx, stat, lo, n_left, depth + 1);
+  int32_t right = Build(ctx, stat, lo + n_left, n - n_left, depth + 1);
   nodes_[static_cast<size_t>(self)].left = left;
   nodes_[static_cast<size_t>(self)].right = right;
   return self;

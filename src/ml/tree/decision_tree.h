@@ -7,6 +7,7 @@
 #include "core/matrix.h"
 #include "core/rng.h"
 #include "core/status.h"
+#include "ml/tree/exact_split.h"
 
 namespace fedfc::ml {
 
@@ -25,7 +26,8 @@ struct TreeConfig {
 
 /// CART decision tree for regression (variance reduction) or classification
 /// (Gini impurity). Nodes are stored in a flat array; leaves carry either a
-/// mean value (regression) or a class distribution (classification).
+/// mean value (regression) or a class distribution (classification). Exact
+/// splits scan presorted column blocks (ml/tree/exact_split.h).
 class DecisionTree {
  public:
   enum class Task { kRegression, kClassification };
@@ -35,10 +37,16 @@ class DecisionTree {
 
   /// Fits on the given rows. For classification, labels are in
   /// [0, n_classes). `sample_indices` selects (with possible repetition —
-  /// bootstrap) the training rows; empty means all rows.
+  /// bootstrap) the training rows; empty means all rows. Every cell of `x`
+  /// must be finite.
   Status Fit(const Matrix& x, const std::vector<double>& y_reg,
              const std::vector<int>& y_cls, int n_classes,
              const std::vector<size_t>& sample_indices, Rng* rng);
+  /// The same fit on a matrix an ensemble has presorted once for all of
+  /// its trees.
+  Status Fit(const tree_internal::SortedColumns& sorted,
+             const std::vector<double>& y_reg, const std::vector<int>& y_cls,
+             int n_classes, const std::vector<size_t>& sample_indices, Rng* rng);
 
   /// Regression prediction for one row.
   [[nodiscard]] double PredictRow(const double* row) const;
@@ -62,8 +70,10 @@ class DecisionTree {
 
   struct BuildContext;
 
-  int32_t Build(BuildContext* ctx, std::vector<size_t>& indices, int depth);
-  int32_t MakeLeaf(BuildContext* ctx, const std::vector<size_t>& indices);
+  /// Grows the node over entries [lo, lo + n) of the context's blocks.
+  template <typename Stat>
+  int32_t Build(BuildContext* ctx, Stat* stat, size_t lo, size_t n, int depth);
+  int32_t MakeLeaf(const BuildContext& ctx, size_t lo, size_t n);
 
   Task task_ = Task::kRegression;
   TreeConfig config_;

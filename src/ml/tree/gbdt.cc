@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/checked.h"
 #include "core/vec_math.h"
@@ -36,6 +37,9 @@ Status GbdtRegressor::Fit(const Matrix& x, const std::vector<double>& y, Rng* rn
       config_.subsample > 1.0 || config_.learning_rate <= 0.0) {
     return Status::InvalidArgument("GbdtRegressor: invalid config");
   }
+  // Sorted once: x is the same for every round.
+  FEDFC_ASSIGN_OR_RETURN(tree_internal::SortedColumns sorted,
+                         tree_internal::SortedColumns::Build(x, "GbdtRegressor"));
   trees_.clear();
   base_score_ = Mean(y);
   const size_t n = x.rows();
@@ -47,7 +51,7 @@ Status GbdtRegressor::Fit(const Matrix& x, const std::vector<double>& y, Rng* rn
     for (size_t i = 0; i < n; ++i) g[i] = pred[i] - y[i];
     std::vector<size_t> rows = SubsampleRows(n, config_.subsample, rng);
     gbdt_internal::GbdtTree tree;
-    tree.Fit(x, g, h, rows, tc);
+    tree.Fit(sorted, g, h, rows, tc);
     for (size_t i = 0; i < n; ++i) {
       pred[i] += config_.learning_rate * tree.PredictRow(x.Row(i));
     }
@@ -153,12 +157,19 @@ Status SoftmaxBooster::Fit(const Matrix& x, const std::vector<int>& y,
   if (cfg.n_estimators == 0) {
     return Status::InvalidArgument(Name() + ": n_estimators must be positive");
   }
-  n_classes_ = n_classes;
-  trees_.clear();
+  // The depth-wise grower scans columns sorted once per fit; the others
+  // scan quantile bins. Both order feature values, so both need finite x.
+  const std::string who = Name();
+  tree_internal::SortedColumns sorted;
   BinnedMatrix binned;
-  if (cfg.grower != Grower::kDepthWise) {
+  if (cfg.grower == Grower::kDepthWise) {
+    FEDFC_ASSIGN_OR_RETURN(sorted, tree_internal::SortedColumns::Build(x, who.c_str()));
+  } else {
+    FEDFC_RETURN_IF_ERROR(tree_internal::RequireFinite(x, who.c_str()));
     binned = BinnedMatrix::Build(x, cfg.max_bins);
   }
+  n_classes_ = n_classes;
+  trees_.clear();
   const size_t n = x.rows();
   const size_t k = static_cast<size_t>(n_classes);
   Matrix scores(n, k, 0.0);
@@ -182,7 +193,7 @@ Status SoftmaxBooster::Fit(const Matrix& x, const std::vector<int>& y,
       GbdtTree tree;
       switch (cfg.grower) {
         case Grower::kDepthWise:
-          tree.Fit(x, g, h, rows, cfg.tree);
+          tree.Fit(sorted, g, h, rows, cfg.tree);
           break;
         case Grower::kLeafWise:
           tree.FitLeafWise(binned, g, h, cfg.max_leaves, cfg.tree);

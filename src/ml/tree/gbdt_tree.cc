@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -13,9 +14,7 @@ namespace fedfc::ml::gbdt_internal {
 
 namespace {
 
-double LeafScore(double g, double h, double lambda) {
-  return g * g / (h + lambda);
-}
+using tree_internal::LeafScore;
 
 double LeafWeight(double g, double h, double lambda) {
   return -g / (h + lambda);
@@ -80,90 +79,51 @@ SplitCandidate FindBestSplit(const BinnedMatrix& binned,
 
 }  // namespace
 
-void GbdtTree::Fit(const Matrix& x, const std::vector<double>& g,
-                   const std::vector<double>& h,
+void GbdtTree::Fit(const tree_internal::SortedColumns& sorted,
+                   const std::vector<double>& g, const std::vector<double>& h,
                    const std::vector<size_t>& sample_indices,
                    const GbdtTreeConfig& config) {
+  const Matrix& x = sorted.x();
   FEDFC_CHECK(g.size() == x.rows() && h.size() == x.rows());
   nodes_.clear();
   gains_.assign(x.cols(), 0.0);
-  std::vector<size_t> indices = sample_indices;
-  if (indices.empty()) {
-    indices.resize(x.rows());
-    std::iota(indices.begin(), indices.end(), 0);
-  }
-  Build(x, g, h, indices, 0, config);
+  tree_internal::ColumnBlocks blocks(sorted, sample_indices, /*with_columns=*/true);
+  tree_internal::GradientStat stat(g, h, config.reg_lambda);
+  std::vector<size_t> features(x.cols());
+  std::iota(features.begin(), features.end(), 0);
+  Build(&blocks, &stat, features, 0, blocks.size(), 0, config);
 }
 
-int32_t GbdtTree::Build(const Matrix& x, const std::vector<double>& g,
-                        const std::vector<double>& h, std::vector<size_t>& indices,
+int32_t GbdtTree::Build(tree_internal::ColumnBlocks* blocks,
+                        tree_internal::GradientStat* stat,
+                        const std::vector<size_t>& features, size_t lo, size_t n,
                         int depth, const GbdtTreeConfig& config) {
-  const size_t n = indices.size();
-  double g_sum = 0.0, h_sum = 0.0;
-  for (size_t i : indices) {
-    g_sum += g[i];
-    h_sum += h[i];
-  }
-  const double lambda = config.reg_lambda;
-  bool stop = depth >= config.max_depth || n < 2 * config.min_samples_leaf || n < 2;
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  double best_gain = config.min_gain;
-
-  if (!stop) {
-    std::vector<std::pair<double, size_t>> sorted;
-    sorted.reserve(n);
-    for (size_t f = 0; f < x.cols(); ++f) {
-      sorted.clear();
-      for (size_t i : indices) sorted.emplace_back(x(i, f), i);
-      std::sort(sorted.begin(), sorted.end());
-      if (sorted.front().first == sorted.back().first) continue;
-      double gl = 0.0, hl = 0.0;
-      for (size_t pos = 0; pos + 1 < n; ++pos) {
-        gl += g[sorted[pos].second];
-        hl += h[sorted[pos].second];
-        if (sorted[pos].first == sorted[pos + 1].first) continue;
-        size_t n_left = pos + 1;
-        size_t n_right = n - n_left;
-        if (n_left < config.min_samples_leaf || n_right < config.min_samples_leaf) {
-          continue;
-        }
-        double gain = 0.5 * (LeafScore(gl, hl, lambda) +
-                             LeafScore(g_sum - gl, h_sum - hl, lambda) -
-                             LeafScore(g_sum, h_sum, lambda));
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = static_cast<int>(f);
-          best_threshold = 0.5 * (sorted[pos].first + sorted[pos + 1].first);
-        }
-      }
-    }
-  }
-
-  if (best_feature < 0) {
-    nodes_.push_back({.weight = LeafWeight(g_sum, h_sum, lambda)});
+  stat->Begin(blocks->draw(lo), n);
+  const bool stop =
+      depth >= config.max_depth || n < 2 * config.min_samples_leaf || n < 2;
+  const tree_internal::ExactSplit best =
+      stop ? tree_internal::ExactSplit{}
+           : tree_internal::FindBestExactSplit(*blocks, lo, n, features,
+                                               config.min_samples_leaf,
+                                               config.min_gain, stat);
+  if (best.feature < 0) {
+    nodes_.push_back(
+        {.weight = LeafWeight(stat->g_sum(), stat->h_sum(), config.reg_lambda)});
     return static_cast<int32_t>(nodes_.size() - 1);
   }
 
-  gains_[static_cast<size_t>(best_feature)] += best_gain;
+  gains_[static_cast<size_t>(best.feature)] += best.gain;
+  // A child is split again only below max_depth and at the size limits.
+  const size_t min_split_size = depth + 1 < config.max_depth
+                                    ? std::max<size_t>(2 * config.min_samples_leaf, 2)
+                                    : std::numeric_limits<size_t>::max();
+  const size_t n_left = blocks->Partition(lo, n, static_cast<size_t>(best.feature),
+                                          best.threshold, min_split_size);
 
-  std::vector<size_t> left_idx, right_idx;
-  left_idx.reserve(n);
-  right_idx.reserve(n);
-  for (size_t i : indices) {
-    if (x(i, static_cast<size_t>(best_feature)) <= best_threshold) {
-      left_idx.push_back(i);
-    } else {
-      right_idx.push_back(i);
-    }
-  }
-  indices.clear();
-  indices.shrink_to_fit();
-
-  nodes_.push_back({.feature = best_feature, .threshold = best_threshold});
+  nodes_.push_back({.feature = best.feature, .threshold = best.threshold});
   int32_t self = static_cast<int32_t>(nodes_.size() - 1);
-  int32_t left = Build(x, g, h, left_idx, depth + 1, config);
-  int32_t right = Build(x, g, h, right_idx, depth + 1, config);
+  int32_t left = Build(blocks, stat, features, lo, n_left, depth + 1, config);
+  int32_t right = Build(blocks, stat, features, lo + n_left, n - n_left, depth + 1, config);
   nodes_[static_cast<size_t>(self)].left = left;
   nodes_[static_cast<size_t>(self)].right = right;
   return self;

@@ -6,6 +6,7 @@
 
 #include "core/matrix.h"
 #include "core/result.h"
+#include "ml/tree/exact_split.h"
 #include "ml/tree/feature_binning.h"
 
 namespace fedfc::ml::gbdt_internal {
@@ -26,10 +27,11 @@ struct GbdtTreeConfig {
 /// choose splits.
 class GbdtTree {
  public:
-  /// Depth-wise exact greedy split finding on sorted features (XGBoost).
-  /// Fits on the rows in `sample_indices` (all rows when empty). `g` and `h`
+  /// Depth-wise exact greedy split finding (XGBoost) on the presorted
+  /// column blocks of the booster's matrix (ml/tree/exact_split.h). Fits on
+  /// the rows in `sample_indices` (all rows when empty). `g` and `h`
   /// are per-row gradient/hessian; `h` entries must be positive.
-  void Fit(const Matrix& x, const std::vector<double>& g,
+  void Fit(const tree_internal::SortedColumns& sorted, const std::vector<double>& g,
            const std::vector<double>& h, const std::vector<size_t>& sample_indices,
            const GbdtTreeConfig& config);
 
@@ -79,9 +81,10 @@ class GbdtTree {
     double weight = 0.0;
   };
 
-  int32_t Build(const Matrix& x, const std::vector<double>& g,
-                const std::vector<double>& h, std::vector<size_t>& indices,
-                int depth, const GbdtTreeConfig& config);
+  /// Grows the node over entries [lo, lo + n) of `blocks`.
+  int32_t Build(tree_internal::ColumnBlocks* blocks, tree_internal::GradientStat* stat,
+                const std::vector<size_t>& features, size_t lo, size_t n, int depth,
+                const GbdtTreeConfig& config);
 
   std::vector<Node> nodes_;
   std::vector<double> gains_;

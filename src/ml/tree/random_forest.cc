@@ -21,13 +21,15 @@ Status RandomForestRegressor::Fit(const Matrix& x, const std::vector<double>& y,
   if (config_.n_trees == 0) {
     return Status::InvalidArgument("RandomForest: need at least one tree");
   }
+  FEDFC_ASSIGN_OR_RETURN(tree_internal::SortedColumns sorted,
+                         tree_internal::SortedColumns::Build(x, "RandomForest"));
   trees_.clear();
   importances_.assign(x.cols(), 0.0);
   for (size_t t = 0; t < config_.n_trees; ++t) {
     DecisionTree tree(DecisionTree::Task::kRegression, config_.tree);
     std::vector<size_t> idx;
     if (config_.bootstrap) idx = rng->Bootstrap(x.rows());
-    FEDFC_RETURN_IF_ERROR(tree.Fit(x, y, {}, 0, idx, rng));
+    FEDFC_RETURN_IF_ERROR(tree.Fit(sorted, y, {}, 0, idx, rng));
     Axpy(1.0, tree.feature_importances(), &importances_);
     trees_.push_back(std::move(tree));
   }
@@ -52,6 +54,8 @@ Status RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y,
   if (config_.n_trees == 0) {
     return Status::InvalidArgument("RandomForest: need at least one tree");
   }
+  FEDFC_ASSIGN_OR_RETURN(tree_internal::SortedColumns sorted,
+                         tree_internal::SortedColumns::Build(x, "RandomForest"));
   n_classes_ = n_classes;
   trees_.clear();
   importances_.assign(x.cols(), 0.0);
@@ -59,7 +63,7 @@ Status RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y,
     DecisionTree tree(DecisionTree::Task::kClassification, config_.tree);
     std::vector<size_t> idx;
     if (config_.bootstrap) idx = rng->Bootstrap(x.rows());
-    FEDFC_RETURN_IF_ERROR(tree.Fit(x, {}, y, n_classes, idx, rng));
+    FEDFC_RETURN_IF_ERROR(tree.Fit(sorted, {}, y, n_classes, idx, rng));
     Axpy(1.0, tree.feature_importances(), &importances_);
     trees_.push_back(std::move(tree));
   }

@@ -63,7 +63,7 @@ TEST(GbdtTreeTest, SquaredLossLeafIsShrunkMean) {
   cfg.max_depth = 0;
   cfg.reg_lambda = 1.0;
   gbdt_internal::GbdtTree tree;
-  tree.Fit(x, g, h, {}, cfg);
+  tree.Fit(*tree_internal::SortedColumns::Build(x, "test"), g, h, {}, cfg);
   EXPECT_EQ(tree.n_nodes(), 1u);
   EXPECT_NEAR(tree.PredictRow(x.Row(0)), 12.0 / 4.0, 1e-12);
 }
@@ -80,7 +80,7 @@ TEST(GbdtTreeTest, SplitsOnInformativeFeature) {
   gbdt_internal::GbdtTreeConfig cfg;
   cfg.max_depth = 2;
   gbdt_internal::GbdtTree tree;
-  tree.Fit(x, g, h, {}, cfg);
+  tree.Fit(*tree_internal::SortedColumns::Build(x, "test"), g, h, {}, cfg);
   EXPECT_GT(tree.feature_gains()[0], tree.feature_gains()[1]);
 }
 
@@ -94,7 +94,7 @@ TEST(GbdtTreeTest, SerializationRoundTrip) {
     g[i] = rng.Normal();
   }
   gbdt_internal::GbdtTree tree;
-  tree.Fit(x, g, h, {}, gbdt_internal::GbdtTreeConfig{});
+  tree.Fit(*tree_internal::SortedColumns::Build(x, "test"), g, h, {}, gbdt_internal::GbdtTreeConfig{});
   std::vector<double> blob;
   tree.AppendTo(&blob);
   size_t offset = 0;
@@ -355,6 +355,33 @@ TEST(ObliviousGbdtTest, NanFeatureGoesRightLikeEveryBooster) {
     for (size_t c = 0; c < 3; ++c) {
       EXPECT_EQ(from_nan(0, c), from_inf(0, c)) << booster->Name();
     }
+  }
+}
+
+// The exact and binned split finders order feature values, and NaN has no
+// strict weak order: a non-finite training cell is an invalid argument.
+TEST(GbdtRegressorTest, RejectsNonFiniteFeatures) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Nonlinear p = MakeNonlinear(80, 29);
+    p.x(40, 2) = bad;
+    GbdtRegressor model;
+    Rng rng(30);
+    EXPECT_EQ(model.Fit(p.x, p.y, &rng).code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(GbdtClassifierTest, EveryBoosterRejectsNonFiniteFeatures) {
+  MultiClass p = MakeThreeClass(90, 31);
+  p.x(45, 1) = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::unique_ptr<Classifier>> boosters;
+  boosters.push_back(std::make_unique<GbdtClassifier>());
+  boosters.push_back(std::make_unique<HistGbdtClassifier>());
+  boosters.push_back(std::make_unique<ObliviousGbdtClassifier>());
+  for (const auto& booster : boosters) {
+    Rng rng(32);
+    EXPECT_EQ(booster->Fit(p.x, p.y, 3, &rng).code(), StatusCode::kInvalidArgument)
+        << booster->Name();
   }
 }
 

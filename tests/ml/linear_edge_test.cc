@@ -3,6 +3,7 @@
 /// survive because clients control their own data.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -119,6 +120,39 @@ TEST(LinearEdgeTest, TinySampleCountsStillFit) {
       EXPECT_TRUE(std::isfinite(p)) << model->Name();
     }
   }
+}
+
+TEST(LinearEdgeTest, LassoRejectsNanAlpha) {
+  Rng rng(12);
+  Matrix x(40, 2);
+  std::vector<double> y(40);
+  for (size_t i = 0; i < 40; ++i) {
+    x(i, 0) = rng.Normal();
+    x(i, 1) = rng.Normal();
+    y[i] = x(i, 0) - x(i, 1);
+  }
+  LassoRegressor::Config cfg;
+  cfg.alpha = std::numeric_limits<double>::quiet_NaN();
+  LassoRegressor model(cfg);
+  Rng fit_rng(13);
+  EXPECT_EQ(model.Fit(x, y, &fit_rng).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(LinearEdgeTest, ElasticNetCvRejectsNanL1Ratio) {
+  // Clamp(NaN, 0, 1) reads 1, which would silently fit pure Lasso.
+  Rng rng(14);
+  Matrix x(40, 2);
+  std::vector<double> y(40);
+  for (size_t i = 0; i < 40; ++i) {
+    x(i, 0) = rng.Normal();
+    x(i, 1) = rng.Normal();
+    y[i] = x(i, 0) - x(i, 1);
+  }
+  ElasticNetCvRegressor::Config cfg;
+  cfg.l1_ratio = std::numeric_limits<double>::quiet_NaN();
+  ElasticNetCvRegressor model(cfg);
+  Rng fit_rng(15);
+  EXPECT_EQ(model.Fit(x, y, &fit_rng).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
