@@ -157,11 +157,8 @@ int Main(int argc, char** argv) {
     constexpr size_t kN = 4096;
     const std::vector<double> x = RandomVector(kN, &rng);
     std::vector<double> y = RandomVector(kN, &rng);
-    std::printf("dot / axpy (n=%zu), GFLOP/s:\n", kN);
+    std::printf("axpy (n=%zu), GFLOP/s:\n", kN);
     for (const Backend* backend : backends) {
-      double dot_rps = MeasureRepsPerSecond(
-          target_ms, [&] { return backend->dot(x.data(), y.data(), kN); },
-          &sink);
       double axpy_rps = MeasureRepsPerSecond(
           target_ms,
           [&] {
@@ -170,68 +167,9 @@ int Main(int argc, char** argv) {
           },
           &sink);
       const double flops = 2.0 * static_cast<double>(kN);
-      std::printf("  dot_%-7s %8.3f   axpy_%-7s %8.3f\n", backend->name,
-                  dot_rps * flops / 1e9, backend->name,
-                  axpy_rps * flops / 1e9);
-      reporter.AddMetric(std::string("dot_4096_") + backend->name + "_gflops",
-                         dot_rps * flops / 1e9, "GFLOP/s", true);
+      std::printf("  axpy_%-7s %8.3f\n", backend->name, axpy_rps * flops / 1e9);
       reporter.AddMetric(std::string("axpy_4096_") + backend->name + "_gflops",
                          axpy_rps * flops / 1e9, "GFLOP/s", true);
-    }
-  }
-
-  // Pack (blocked transpose) and histogram accumulation.
-  {
-    constexpr size_t kRows = 256, kCols = 128;
-    const std::vector<double> src = RandomVector(kRows * kCols, &rng);
-    std::vector<double> dst(kRows * kCols, 0.0);
-    std::printf("pack_col_major (%zux%zu), GB/s:\n", kRows, kCols);
-    for (const Backend* backend : backends) {
-      double rps = MeasureRepsPerSecond(
-          target_ms,
-          [&] {
-            backend->pack_col_major(src.data(), kRows, kCols, kCols,
-                                    dst.data());
-            return dst[0];
-          },
-          &sink);
-      // Read + write of every element.
-      const double gbs =
-          rps * 2.0 * static_cast<double>(kRows * kCols) * 8.0 / 1e9;
-      std::printf("  pack_%-7s %8.3f\n", backend->name, gbs);
-      reporter.AddMetric(std::string("pack_256x128_") + backend->name + "_gbs",
-                         gbs, "GB/s", true);
-    }
-  }
-  {
-    constexpr size_t kRowsN = 8192, kBins = 32, kStride = 8;
-    std::vector<size_t> rows(kRowsN);
-    std::vector<uint8_t> bins(kRowsN * kStride);
-    for (size_t i = 0; i < kRowsN; ++i) {
-      rows[i] = i;
-      bins[i * kStride] =
-          static_cast<uint8_t>(rng.Int(0, static_cast<int64_t>(kBins) - 1));
-    }
-    const std::vector<double> g = RandomVector(kRowsN, &rng);
-    const std::vector<double> h = RandomVector(kRowsN, &rng);
-    std::vector<double> hist_g(kBins, 0.0), hist_h(kBins, 0.0);
-    std::vector<size_t> hist_n(kBins, 0);
-    std::printf("hist_acc (%zu rows, %zu bins), Melem/s:\n", kRowsN, kBins);
-    for (const Backend* backend : backends) {
-      double rps = MeasureRepsPerSecond(
-          target_ms,
-          [&] {
-            backend->hist_acc(rows.data(), kRowsN, bins.data(), kStride,
-                              g.data(), h.data(), hist_g.data(), hist_h.data(),
-                              hist_n.data());
-            return hist_g[0];
-          },
-          &sink);
-      const double meps = rps * static_cast<double>(kRowsN) / 1e6;
-      std::printf("  hist_%-7s %8.3f\n", backend->name, meps);
-      reporter.AddMetric(std::string("hist_acc_8192_") + backend->name +
-                             "_melems",
-                         meps, "Melem/s", true);
     }
   }
 

@@ -60,13 +60,16 @@ fi
 run_sanitizer_suite() {
   # $1 = preset name (thread|address|undefined), $2 = build dir,
   # $3 = target, $4... = command to run from the repo root.
+  # -D_GLIBCXX_ASSERTIONS turns libstdc++ precondition breaks (a bad
+  # distribution parameter, an out-of-range operator[]) into aborts, which
+  # the sanitizers alone do not see.
   local preset="$1" dir="$2" target="$3"
   shift 3
   cmake -B "$dir" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFEDFC_WERROR=ON \
     -DFEDFC_SANITIZE="$preset" \
-    -DCMAKE_CXX_FLAGS="-O1"
+    -DCMAKE_CXX_FLAGS="-O1 -D_GLIBCXX_ASSERTIONS"
   cmake --build "$dir" --target "$target" -j"$jobs"
   "$@"
 }

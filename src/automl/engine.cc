@@ -55,8 +55,6 @@ Result<EngineReport> FedForecasterEngine::Run(fl::Server* server) {
   feature_input.feature_selection = options_.feature_selection;
   feature_input.feature_coverage = options_.feature_coverage;
   feature_input.max_lags = options_.max_lags;
-  feature_input.n_covariates = options_.n_covariates;
-  feature_input.covariate_lags = options_.covariate_lags;
   FEDFC_ASSIGN_OR_RETURN(
       report.spec, phases::RunFeaturePhase(*server, feature_input, round_opts(1)));
   std::vector<double> spec_tensor = report.spec.ToTensor();

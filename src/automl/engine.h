@@ -33,17 +33,12 @@ struct EngineOptions {
   size_t max_iterations = 0;
 
   /// Evaluate the aggregated global model on the clients' held-out test
-  /// tails (Table 3 protocol). Streaming deployments (AdaptiveForecaster)
-  /// disable this and keep every observation for training.
+  /// tails (Table 3 protocol). When false, the run skips that round and
+  /// leaves `test_loss` at 0.
   bool evaluate_test = true;
   bool feature_selection = true;
   double feature_coverage = 0.95;  ///< Importance mass kept (Section 4.2.2).
   size_t max_lags = 12;            ///< Cap on unified lag features.
-  /// Multivariate federation (future-work extension): number of exogenous
-  /// covariate channels every client provides, and lags per channel. 0 = the
-  /// paper's univariate setting.
-  size_t n_covariates = 0;
-  size_t covariate_lags = 2;
   /// Worker threads for client fan-out in every federated round (applied to
   /// the server at Run time). 0 = hardware concurrency; 1 = the exact
   /// sequential broadcast path. Replies are index-ordered, so losses and the

@@ -10,18 +10,10 @@
 namespace fedfc::automl {
 
 ForecastClient::ForecastClient(std::string id, ts::Series series, Options options)
-    : id_(std::move(id)), options_(options), rng_(options.seed) {
-  series_.target = std::move(series);
-  RegisterHandlers();
-}
-
-ForecastClient::ForecastClient(std::string id, ts::MultiSeries series,
-                               Options options)
     : id_(std::move(id)),
       series_(std::move(series)),
       options_(options),
       rng_(options.seed) {
-  FEDFC_CHECK(series_.Validate().ok()) << "misaligned covariate channels";
   RegisterHandlers();
 }
 
@@ -84,7 +76,7 @@ Result<fl::MetaFeaturesReply> ForecastClient::HandleMetaFeatures(
     const fl::MetaFeaturesRequest&) {
   // Meta-features are computed over the training region only — the test
   // tail must not leak into the pipeline configuration.
-  ts::Series head = series_.target.Slice(0, num_examples());
+  ts::Series head = series_.Slice(0, num_examples());
   features::ClientMetaFeatures mf = features::ComputeClientMetaFeatures(head);
   fl::MetaFeaturesReply reply;
   reply.meta_features = mf.ToTensor();

@@ -10,7 +10,6 @@
 #include "features/meta_features.h"
 #include "fl/client.h"
 #include "fl/task_codec.h"
-#include "ts/multi_series.h"
 #include "ts/series.h"
 
 namespace fedfc::automl {
@@ -37,11 +36,6 @@ class ForecastClient : public fl::Client {
   };
 
   ForecastClient(std::string id, ts::Series series, Options options);
-
-  /// Multivariate client: a forecasting target plus exogenous covariate
-  /// channels (the paper's future-work extension). Specs broadcast by the
-  /// server must declare the same channel count.
-  ForecastClient(std::string id, ts::MultiSeries series, Options options);
 
   std::string id() const override { return id_; }
   /// Training examples only (the weight alpha_j of Equation 1).
@@ -78,7 +72,7 @@ class ForecastClient : public fl::Client {
   [[nodiscard]] RowSplit SplitRows(size_t n_rows) const;
 
   std::string id_;
-  ts::MultiSeries series_;
+  ts::Series series_;
   Options options_;
   Rng rng_;
   fl::TaskRegistry registry_;

@@ -52,10 +52,6 @@ Result<features::FeatureEngineeringSpec> RunFeaturePhase(
   spec.n_lags = std::max<size_t>(
       2, std::min<size_t>(agg.global_lag_count, input.max_lags));
   spec.seasonal_periods = agg.global_seasonal_periods;
-  if (input.n_covariates > 0) {
-    spec.n_covariates = input.n_covariates;
-    spec.covariate_lags = input.covariate_lags;
-  }
   if (!input.feature_selection) return spec;
 
   // Federated feature selection (Section 4.2.2), best-effort.

@@ -15,10 +15,6 @@ struct FeaturePhaseInput {
   bool feature_selection = true;
   double feature_coverage = 0.95;  ///< Importance mass kept (Section 4.2.2).
   size_t max_lags = 12;            ///< Cap on unified lag features.
-  /// Multivariate federation: exogenous channel count and lags per channel
-  /// (0 = the paper's univariate setting).
-  size_t n_covariates = 0;
-  size_t covariate_lags = 2;
 };
 
 /// Section 4.2: derives the unified feature-engineering spec from the

@@ -24,10 +24,13 @@ class Rng {
     return dist(engine_);
   }
 
-  /// Standard normal (optionally scaled/shifted).
+  /// Standard normal (optionally scaled/shifted). Scales a standard draw
+  /// itself, with the expression libstdc++'s normal_distribution applies,
+  /// so every draw keeps its bits and stddev = 0 (zero noise) is allowed,
+  /// where that distribution requires stddev > 0.
   double Normal(double mean = 0.0, double stddev = 1.0) {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
+    std::normal_distribution<double> standard;
+    return standard(engine_) * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] inclusive.

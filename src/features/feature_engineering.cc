@@ -17,8 +17,6 @@ std::vector<double> FeatureEngineeringSpec::ToTensor() const {
   t.push_back(static_cast<double>(n_lags));
   t.push_back(include_time_features ? 1.0 : 0.0);
   t.push_back(include_trend_feature ? 1.0 : 0.0);
-  t.push_back(static_cast<double>(n_covariates));
-  t.push_back(static_cast<double>(covariate_lags));
   t.push_back(static_cast<double>(seasonal_periods.size()));
   t.insert(t.end(), seasonal_periods.begin(), seasonal_periods.end());
   t.push_back(static_cast<double>(selected_features.size()));
@@ -26,9 +24,13 @@ std::vector<double> FeatureEngineeringSpec::ToTensor() const {
   return t;
 }
 
+// The per-field caps bound the widest schema FeatureSchema can name: lags,
+// the trend column, six calendar columns and a sin/cos pair per period.
+static_assert(kMaxSpecLags + 7 + 2 * kMaxSpecSeasonalPeriods <= kMaxSpecColumns);
+
 Result<FeatureEngineeringSpec> FeatureEngineeringSpec::FromTensor(
     const std::vector<double>& t) {
-  if (t.size() < 7) {
+  if (t.size() < 5) {
     return Status::InvalidArgument("feature spec tensor too short");
   }
   // Every count field arrives as a double off the wire (or out of an
@@ -42,12 +44,6 @@ Result<FeatureEngineeringSpec> FeatureEngineeringSpec::FromTensor(
       spec.n_lags, CheckedCount(t[i++], kMaxSpecLags, "feature spec n_lags"));
   spec.include_time_features = t[i++] != 0.0;
   spec.include_trend_feature = t[i++] != 0.0;
-  FEDFC_ASSIGN_OR_RETURN(
-      spec.n_covariates,
-      CheckedCount(t[i++], kMaxSpecCovariates, "feature spec n_covariates"));
-  FEDFC_ASSIGN_OR_RETURN(spec.covariate_lags,
-                         CheckedCount(t[i++], kMaxSpecCovariateLags,
-                                      "feature spec covariate_lags"));
   FEDFC_ASSIGN_OR_RETURN(size_t n_periods,
                          CheckedCount(t[i++], kMaxSpecSeasonalPeriods,
                                       "feature spec seasonal periods"));
@@ -60,13 +56,6 @@ Result<FeatureEngineeringSpec> FeatureEngineeringSpec::FromTensor(
           "feature spec tensor: non-finite seasonal period");
     }
     spec.seasonal_periods.push_back(t[i++]);
-  }
-  if (spec.n_covariates * spec.covariate_lags > kMaxSpecColumns ||
-      spec.n_lags + 2 * n_periods + spec.n_covariates * spec.covariate_lags >
-          kMaxSpecColumns) {
-    return Status::InvalidArgument(
-        "feature spec tensor: engineered schema width exceeds the " +
-        std::to_string(kMaxSpecColumns) + "-column cap");
   }
   const double n_selected_field = t[i++];
   FEDFC_ASSIGN_OR_RETURN(
@@ -97,59 +86,31 @@ std::vector<std::string> FeatureSchema(const FeatureEngineeringSpec& spec) {
     names.push_back("seasonal_" + std::to_string(s) + "_sin");
     names.push_back("seasonal_" + std::to_string(s) + "_cos");
   }
-  for (size_t c = 0; c < spec.n_covariates; ++c) {
-    for (size_t l = 1; l <= spec.covariate_lags; ++l) {
-      names.push_back("cov_" + std::to_string(c) + "_lag_" + std::to_string(l));
-    }
-  }
   return names;
 }
 
 Result<EngineeredData> EngineerFeatures(const ts::Series& series,
                                         const FeatureEngineeringSpec& spec) {
-  if (spec.n_covariates > 0) {
-    return Status::InvalidArgument(
-        "EngineerFeatures: spec expects covariates; use the MultiSeries overload");
-  }
-  ts::MultiSeries multi;
-  multi.target = series;
-  return EngineerFeatures(multi, spec);
-}
-
-Result<EngineeredData> EngineerFeatures(const ts::MultiSeries& series,
-                                        const FeatureEngineeringSpec& spec) {
   if (spec.n_lags == 0) {
     return Status::InvalidArgument("EngineerFeatures: need at least one lag");
   }
-  FEDFC_RETURN_IF_ERROR(series.Validate());
-  if (series.n_covariates() != spec.n_covariates) {
-    return Status::InvalidArgument(
-        "EngineerFeatures: covariate channel count does not match the spec");
-  }
-  size_t max_lag = std::max(spec.n_lags,
-                            spec.n_covariates > 0 ? spec.covariate_lags : 0);
-  if (series.size() <= max_lag + 4) {
+  if (series.size() <= spec.n_lags + 4) {
     return Status::InvalidArgument("EngineerFeatures: series shorter than lags");
   }
-  std::vector<double> values = ts::LinearInterpolate(series.target.values());
-  std::vector<std::vector<double>> covariates;
-  covariates.reserve(series.n_covariates());
-  for (const ts::Series& cov : series.covariates) {
-    covariates.push_back(ts::LinearInterpolate(cov.values()));
-  }
+  std::vector<double> values = ts::LinearInterpolate(series.values());
 
   EngineeredData out;
   out.feature_names = FeatureSchema(spec);
   if (spec.include_trend_feature) out.trend = ts::FitTrend(values);
 
-  const size_t n_rows = values.size() - max_lag;
+  const size_t n_rows = values.size() - spec.n_lags;
   const size_t n_cols = out.feature_names.size();
   out.x = Matrix(n_rows, n_cols, 0.0);
   out.y.resize(n_rows);
 
   constexpr double kTwoPi = 2.0 * std::numbers::pi;
   for (size_t r = 0; r < n_rows; ++r) {
-    size_t t = r + max_lag;  // Index of the prediction target.
+    size_t t = r + spec.n_lags;  // Index of the prediction target.
     out.y[r] = values[t];
     double* row = out.x.Row(r);
     size_t c = 0;
@@ -158,7 +119,7 @@ Result<EngineeredData> EngineerFeatures(const ts::MultiSeries& series,
       row[c++] = out.trend.Evaluate(static_cast<double>(t));
     }
     if (spec.include_time_features) {
-      ts::CivilTime ct = ts::CivilFromEpoch(series.target.TimestampAt(t));
+      ts::CivilTime ct = ts::CivilFromEpoch(series.TimestampAt(t));
       row[c++] = std::sin(kTwoPi * ct.hour / 24.0);
       row[c++] = std::cos(kTwoPi * ct.hour / 24.0);
       row[c++] = std::sin(kTwoPi * ct.weekday / 7.0);
@@ -170,9 +131,6 @@ Result<EngineeredData> EngineerFeatures(const ts::MultiSeries& series,
       double phase = kTwoPi * static_cast<double>(t) / std::max(period, 2.0);
       row[c++] = std::sin(phase);
       row[c++] = std::cos(phase);
-    }
-    for (const std::vector<double>& cov : covariates) {
-      for (size_t l = 1; l <= spec.covariate_lags; ++l) row[c++] = cov[t - l];
     }
     FEDFC_DCHECK(c == n_cols);
   }

@@ -6,7 +6,6 @@
 
 #include "core/matrix.h"
 #include "core/result.h"
-#include "ts/multi_series.h"
 #include "ts/series.h"
 #include "ts/trend.h"
 
@@ -18,11 +17,8 @@ namespace fedfc::features {
 /// untrusted; the engine never produces values anywhere near these — the
 /// caps only trip on corrupted or hostile tensors.
 inline constexpr size_t kMaxSpecLags = 4096;
-inline constexpr size_t kMaxSpecCovariates = 1024;
-inline constexpr size_t kMaxSpecCovariateLags = 4096;
 inline constexpr size_t kMaxSpecSeasonalPeriods = 256;
-/// Bound on the full engineered schema width (covers the n_covariates x
-/// covariate_lags product, which the per-field caps alone do not).
+/// Bound on the full engineered schema width, and so on a selected index.
 inline constexpr size_t kMaxSpecColumns = 1u << 16;
 
 /// Server-broadcast recipe for the *unified* feature engineering the paper
@@ -39,11 +35,6 @@ struct FeatureEngineeringSpec {
   bool include_time_features = true;
   /// ADF-gated parametric trend feature (Section 4.2.1 item 1).
   bool include_trend_feature = true;
-  /// Exogenous covariate channels (the paper's multivariate future-work
-  /// extension): every client must provide exactly `n_covariates` channels
-  /// in the same order; each contributes `covariate_lags` lagged columns.
-  size_t n_covariates = 0;
-  size_t covariate_lags = 0;
   /// Optional feature subset chosen by federated feature selection
   /// (Section 4.2.2); empty = keep all columns.
   std::vector<size_t> selected_features;
@@ -68,12 +59,6 @@ struct EngineeredData {
 /// time step (the first n_lags steps have no complete lag window).
 /// Applies `spec.selected_features` when non-empty.
 Result<EngineeredData> EngineerFeatures(const ts::Series& series,
-                                        const FeatureEngineeringSpec& spec);
-
-/// Multivariate overload: target features as above plus `covariate_lags`
-/// lagged columns per exogenous channel. The spec's `n_covariates` must
-/// match the input's channel count so the federated schema stays unified.
-Result<EngineeredData> EngineerFeatures(const ts::MultiSeries& series,
                                         const FeatureEngineeringSpec& spec);
 
 /// Feature schema (names only) for a spec, before selection. Useful for

@@ -35,38 +35,4 @@ Result<Payload> InProcessTransport::Execute(size_t client_index,
   return Payload::Deserialize(reply_bytes);
 }
 
-FlakyTransport::FlakyTransport(std::unique_ptr<Transport> inner, double failure_rate,
-                               uint64_t seed)
-    : inner_(std::move(inner)), failure_rate_(failure_rate), state_(seed | 1) {}
-
-Result<Payload> FlakyTransport::Execute(size_t client_index, const std::string& task,
-                                        const Payload& request) {
-  // xorshift64* keeps this decorator dependency-free and deterministic.
-  // The draw order (and therefore which clients fail) depends on broadcast
-  // scheduling when the server runs multi-threaded; the stream itself stays
-  // race-free behind the mutex.
-  bool fail;
-  {
-    MutexLock lock(state_mutex_);
-    state_ ^= state_ >> 12;
-    state_ ^= state_ << 25;
-    state_ ^= state_ >> 27;
-    uint64_t r = state_ * 0x2545F4914F6CDD1DULL;
-    const double u = static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0);
-    fail = u < failure_rate_;
-    if (fail) ++injected_failures_;
-  }
-  if (fail) {
-    return Status::IOError("injected transport failure");
-  }
-  return inner_->Execute(client_index, task, request);
-}
-
-TransportStats FlakyTransport::stats() const {
-  TransportStats stats = inner_->stats();
-  MutexLock lock(state_mutex_);
-  stats.failures += injected_failures_;
-  return stats;
-}
-
 }  // namespace fedfc::fl

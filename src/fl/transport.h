@@ -73,29 +73,6 @@ class InProcessTransport : public Transport {
   TransportStats stats_ FEDFC_GUARDED_BY(stats_mutex_);
 };
 
-/// Decorator that makes a fraction of calls fail (for failure-injection
-/// tests of the orchestration layer).
-class FlakyTransport : public Transport {
- public:
-  FlakyTransport(std::unique_ptr<Transport> inner, double failure_rate,
-                 uint64_t seed);
-
-  size_t num_clients() const override { return inner_->num_clients(); }
-  Result<Payload> Execute(size_t client_index, const std::string& task,
-                          const Payload& request) override;
-  /// Inner stats plus the failures this decorator injected (an injected
-  /// fault never reaches the inner transport, so it must be counted here or
-  /// it is invisible in reports).
-  TransportStats stats() const override;
-
- private:
-  std::unique_ptr<Transport> inner_;
-  double failure_rate_;
-  mutable Mutex state_mutex_;
-  uint64_t state_ FEDFC_GUARDED_BY(state_mutex_);
-  size_t injected_failures_ FEDFC_GUARDED_BY(state_mutex_) = 0;
-};
-
 }  // namespace fedfc::fl
 
 #endif  // FEDFC_FL_TRANSPORT_H_

@@ -5,9 +5,8 @@
 //
 // Numerical contract (docs/PERFORMANCE.md): lane-parallel partial sums
 // reassociate additions and FMAs contract mul+add into one rounding, so
-// dot / gemm_* here are tolerance-bounded against the scalar oracle rather
-// than bit-identical. axpy is elementwise (FMA contraction only) and
-// pack/hist_acc preserve element order exactly.
+// gemm_* here are tolerance-bounded against the scalar oracle rather than
+// bit-identical. axpy is elementwise (FMA contraction only).
 
 #include "ml/kernels/internal.h"
 
@@ -35,25 +34,6 @@ inline __m256d HorizontalSum4(__m256d v0, __m256d v1, __m256d v2, __m256d v3) {
   const __m256d swapped = _mm256_permute2f128_pd(h01, h23, 0x21);
   const __m256d blended = _mm256_blend_pd(h01, h23, 0b1100);
   return _mm256_add_pd(swapped, blended);
-}
-
-double Avx2Dot(const double* a, const double* b, size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4),
-                           _mm256_loadu_pd(b + i + 4), acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i),
-                           acc0);
-  }
-  double sum = HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
 }
 
 void Avx2Axpy(size_t n, double alpha, const double* x, double* y) {
@@ -144,66 +124,11 @@ void Avx2GemmBiasNT(size_t m, size_t n, size_t k, const double* a, size_t lda,
   }
 }
 
-void Avx2PackColMajor(const double* src, size_t rows, size_t cols, size_t ld,
-                      double* dst) {
-  const size_t rows4 = rows & ~static_cast<size_t>(3);
-  const size_t cols4 = cols & ~static_cast<size_t>(3);
-  for (size_t r = 0; r < rows4; r += 4) {
-    const double* s0 = src + r * ld;
-    const double* s1 = s0 + ld;
-    const double* s2 = s1 + ld;
-    const double* s3 = s2 + ld;
-    for (size_t c = 0; c < cols4; c += 4) {
-      // 4x4 in-register transpose.
-      const __m256d r0 = _mm256_loadu_pd(s0 + c);
-      const __m256d r1 = _mm256_loadu_pd(s1 + c);
-      const __m256d r2 = _mm256_loadu_pd(s2 + c);
-      const __m256d r3 = _mm256_loadu_pd(s3 + c);
-      const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-      const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-      const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-      const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-      _mm256_storeu_pd(dst + c * rows + r, _mm256_permute2f128_pd(t0, t2, 0x20));
-      _mm256_storeu_pd(dst + (c + 1) * rows + r,
-                       _mm256_permute2f128_pd(t1, t3, 0x20));
-      _mm256_storeu_pd(dst + (c + 2) * rows + r,
-                       _mm256_permute2f128_pd(t0, t2, 0x31));
-      _mm256_storeu_pd(dst + (c + 3) * rows + r,
-                       _mm256_permute2f128_pd(t1, t3, 0x31));
-    }
-    for (size_t c = cols4; c < cols; ++c) {
-      dst[c * rows + r] = s0[c];
-      dst[c * rows + r + 1] = s1[c];
-      dst[c * rows + r + 2] = s2[c];
-      dst[c * rows + r + 3] = s3[c];
-    }
-  }
-  for (size_t r = rows4; r < rows; ++r) {
-    const double* src_row = src + r * ld;
-    for (size_t c = 0; c < cols; ++c) dst[c * rows + r] = src_row[c];
-  }
-}
-
-// Histogram accumulation is scatter-bound: two rows hitting the same bin
-// serialize, and resolving that without AVX-512 conflict detection costs
-// more than the scalar adds. The AVX2 backend therefore reuses the scalar
-// loop (order-preserving, bit-identical) rather than shipping a slower
-// "vectorized" version; the op stays in the interface so a future AVX-512
-// backend can override it.
-void Avx2HistAcc(const size_t* rows, size_t n_rows, const uint8_t* bins,
-                 size_t bin_stride, const double* g, const double* h,
-                 double* hist_g, double* hist_h, size_t* hist_n) {
-  ScalarBackend().hist_acc(rows, n_rows, bins, bin_stride, g, h, hist_g,
-                           hist_h, hist_n);
-}
-
 }  // namespace
 
 const Backend* Avx2BackendImpl() {
   static const Backend backend = {
-      "avx2",      Avx2Dot,        Avx2Axpy,
-      Avx2GemmNN,  Avx2GemmBiasNT, Avx2PackColMajor,
-      Avx2HistAcc,
+      "avx2", Avx2Axpy, Avx2GemmNN, Avx2GemmBiasNT,
   };
   return &backend;
 }

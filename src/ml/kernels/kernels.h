@@ -2,7 +2,6 @@
 #define FEDFC_ML_KERNELS_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "core/matrix.h"
 
@@ -24,16 +23,11 @@ namespace fedfc::ml::kernels {
 ///     replaced; seeded end-to-end runs on the scalar backend reproduce the
 ///     pre-refactor library bit-for-bit.
 ///   - The AVX2 backend may reassociate additions (lane-parallel partial
-///     sums) and contract multiply-add pairs into FMAs, so `dot`, `axpy`,
+///     sums) and contract multiply-add pairs into FMAs, so `axpy` and
 ///     `gemm_*` results differ from scalar by a relative epsilon documented
 ///     in docs/PERFORMANCE.md (parity tests enforce 1e-9 relative).
-///   - `hist_acc` and `pack_col_major` are element-order-preserving in every
-///     backend and therefore bit-identical across backends.
 struct Backend {
   const char* name;  ///< "scalar" or "avx2" (stable; recorded in BENCH json).
-
-  /// sum_i a[i] * b[i].
-  double (*dot)(const double* a, const double* b, size_t n);
 
   /// y[i] += alpha * x[i]. Elementwise, so backends differ only by FMA
   /// contraction (one rounding instead of two), never by reassociation.
@@ -52,21 +46,6 @@ struct Backend {
   void (*gemm_bias_nt)(size_t m, size_t n, size_t k, const double* a,
                        size_t lda, const double* b, size_t ldb,
                        const double* bias, double* c, size_t ldc);
-
-  /// Packs the row-major block src(rows x cols, leading dim ld) into dst in
-  /// column-major order: dst[c * rows + r] = src[r * ld + c]. dst must hold
-  /// rows * cols doubles. The blocked-panel building block for cache-aware
-  /// GEMM and the column-major feature-matrix build.
-  void (*pack_col_major)(const double* src, size_t rows, size_t cols,
-                         size_t ld, double* dst);
-
-  /// Gradient-histogram accumulation for histogram split finding: for each
-  /// row index r = rows[i] (i ascending), with b = bins[r * bin_stride],
-  ///   hist_g[b] += g[r]; hist_h[b] += h[r]; hist_n[b] += 1.
-  /// Accumulation is in ascending i order in every backend (bit-identical).
-  void (*hist_acc)(const size_t* rows, size_t n_rows, const uint8_t* bins,
-                   size_t bin_stride, const double* g, const double* h,
-                   double* hist_g, double* hist_h, size_t* hist_n);
 };
 
 enum class BackendKind { kScalar, kAvx2 };
@@ -91,10 +70,6 @@ BackendKind SetBackend(BackendKind kind);
 // Dispatched convenience wrappers.
 // ---------------------------------------------------------------------------
 
-inline double Dot(const double* a, const double* b, size_t n) {
-  return ActiveBackend().dot(a, b, n);
-}
-
 inline void Axpy(size_t n, double alpha, const double* x, double* y) {
   ActiveBackend().axpy(n, alpha, x, y);
 }
@@ -108,20 +83,6 @@ inline void GemmBiasNT(size_t m, size_t n, size_t k, const double* a,
                        size_t lda, const double* b, size_t ldb,
                        const double* bias, double* c, size_t ldc) {
   ActiveBackend().gemm_bias_nt(m, n, k, a, lda, b, ldb, bias, c, ldc);
-}
-
-inline void PackColMajor(const double* src, size_t rows, size_t cols,
-                         size_t ld, double* dst) {
-  ActiveBackend().pack_col_major(src, rows, cols, ld, dst);
-}
-
-inline void HistogramAccumulate(const size_t* rows, size_t n_rows,
-                                const uint8_t* bins, size_t bin_stride,
-                                const double* g, const double* h,
-                                double* hist_g, double* hist_h,
-                                size_t* hist_n) {
-  ActiveBackend().hist_acc(rows, n_rows, bins, bin_stride, g, h, hist_g,
-                           hist_h, hist_n);
 }
 
 /// out = a * b through the dispatched gemm_nn (row-major matrix product).

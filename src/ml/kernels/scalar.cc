@@ -11,12 +11,6 @@
 namespace fedfc::ml::kernels {
 namespace {
 
-double ScalarDot(const double* a, const double* b, size_t n) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 void ScalarAxpy(size_t n, double alpha, const double* x, double* y) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -50,33 +44,11 @@ void ScalarGemmBiasNT(size_t m, size_t n, size_t k, const double* a,
   }
 }
 
-void ScalarPackColMajor(const double* src, size_t rows, size_t cols, size_t ld,
-                        double* dst) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double* src_row = src + r * ld;
-    for (size_t c = 0; c < cols; ++c) dst[c * rows + r] = src_row[c];
-  }
-}
-
-void ScalarHistAcc(const size_t* rows, size_t n_rows, const uint8_t* bins,
-                   size_t bin_stride, const double* g, const double* h,
-                   double* hist_g, double* hist_h, size_t* hist_n) {
-  for (size_t i = 0; i < n_rows; ++i) {
-    const size_t r = rows[i];
-    const size_t b = bins[r * bin_stride];
-    hist_g[b] += g[r];
-    hist_h[b] += h[r];
-    hist_n[b] += 1;
-  }
-}
-
 }  // namespace
 
 const Backend& ScalarBackend() {
   static const Backend backend = {
-      "scalar",       ScalarDot,          ScalarAxpy,
-      ScalarGemmNN,   ScalarGemmBiasNT,   ScalarPackColMajor,
-      ScalarHistAcc,
+      "scalar", ScalarAxpy, ScalarGemmNN, ScalarGemmBiasNT,
   };
   return backend;
 }

@@ -17,7 +17,7 @@ class BinnedMatrix {
 
   [[nodiscard]] uint8_t bin(size_t row, size_t col) const { return bins_[row * cols_ + col]; }
   /// Raw row-major bin storage; feature f of row r lives at
-  /// bins_data()[r * cols() + f]. Lets the histogram kernel walk one
+  /// bins_data()[r * cols() + f]. Lets the histogram loop walk one
   /// feature column with a stride instead of calling bin() per row.
   [[nodiscard]] const uint8_t* bins_data() const { return bins_.data(); }
   [[nodiscard]] size_t rows() const { return rows_; }

@@ -8,7 +8,6 @@
 
 #include "core/checked.h"
 #include "core/logging.h"
-#include "ml/kernels/kernels.h"
 
 namespace fedfc::ml::gbdt_internal {
 
@@ -52,10 +51,14 @@ SplitCandidate FindBestSplit(const BinnedMatrix& binned,
     hist_g.assign(n_bins, 0.0);
     hist_h.assign(n_bins, 0.0);
     hist_n.assign(n_bins, 0);
-    kernels::HistogramAccumulate(leaf.rows.data(), leaf.rows.size(),
-                                 binned.bins_data() + f, binned.cols(),
-                                 g.data(), h.data(), hist_g.data(),
-                                 hist_h.data(), hist_n.data());
+    const uint8_t* bins = binned.bins_data() + f;
+    const size_t stride = binned.cols();
+    for (size_t r : leaf.rows) {
+      const size_t b = bins[r * stride];
+      hist_g[b] += g[r];
+      hist_h[b] += h[r];
+      hist_n[b] += 1;
+    }
     double gl = 0.0, hl = 0.0;
     size_t nl = 0;
     double parent = LeafScore(leaf.g_sum, leaf.h_sum, lambda);

@@ -7,6 +7,7 @@
 #include "automl/fed_client.h"
 #include "data/generators.h"
 #include "fl/transport.h"
+#include "flaky_transport.h"
 
 namespace fedfc::automl {
 namespace {

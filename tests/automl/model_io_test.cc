@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "core/rng.h"
 #include "ml/linear/huber.h"
@@ -353,6 +357,33 @@ TEST(ForecasterTest, RejectsBlobNarrowerThanSchema) {
   artifact.blob = {0.1, 0.2, 0.3, 1.5};  // 3 weights for a 2-column schema.
   Status status = Forecaster::FromArtifact(artifact).status();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ForecasterTest, CommittedBlobRegressionsReachTheirGuards) {
+  // The fuzz regressions for blob defects must decode as artifacts (their
+  // config and spec are well formed) and fail only at the FromArtifact
+  // blob check each was written for; bytes the artifact decoder stops
+  // would no longer reach that guard.
+  const std::pair<const char*, const char*> cases[] = {
+      {"crash-linear-width", "feature weights"},
+      {"crash-gbdt-empty-trees", "blob encodes no trees"},
+      {"crash-tree-cycle", "invalid child index"},
+      {"crash-tree-huge-feature", "feature field"},
+  };
+  for (const auto& [name, guard] : cases) {
+    SCOPED_TRACE(name);
+    std::ifstream in(std::string(FEDFC_FUZZ_REGRESSIONS_DIR) +
+                         "/model_artifact/" + name,
+                     std::ios::binary);
+    ASSERT_TRUE(in.good());
+    const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                     std::istreambuf_iterator<char>());
+    Result<ModelArtifact> artifact = DecodeModelArtifact(bytes);
+    ASSERT_TRUE(artifact.ok()) << artifact.status();
+    Status status = Forecaster::FromArtifact(*artifact).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find(guard), std::string::npos) << status;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include "core/rng.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +54,39 @@ TEST(RngTest, NormalMomentsApproximatelyCorrect) {
   for (double& x : v) x = rng.Normal(2.0, 3.0);
   EXPECT_NEAR(Mean(v), 2.0, 0.1);
   EXPECT_NEAR(StdDev(v), 3.0, 0.1);
+}
+
+TEST(RngTest, NormalMatchesStdNormalDistributionBitForBit) {
+  // For stddev > 0, Normal gives the bits a fresh
+  // std::normal_distribution(mean, stddev) gives, and leaves the engine in
+  // the same state, so no seeded stream moves.
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {-1.5, 0.05}, {2.0, 3.0}, {1e3, 1e-3}, {-7.0, 250.0}};
+  for (const auto& [mean, stddev] : params) {
+    Rng rng(17);
+    std::mt19937_64 reference(17);
+    for (int i = 0; i < 200; ++i) {
+      std::normal_distribution<double> dist(mean, stddev);
+      const double expected = dist(reference);
+      EXPECT_EQ(std::bit_cast<uint64_t>(rng.Normal(mean, stddev)),
+                std::bit_cast<uint64_t>(expected))
+          << "mean " << mean << " stddev " << stddev << " draw " << i;
+    }
+    EXPECT_EQ(rng.engine(), reference) << "stddev " << stddev;
+  }
+}
+
+TEST(RngTest, NormalWithZeroStddevReturnsMeanAfterTheSameDraws) {
+  // Zero noise (e.g. data::GenerateSignal with noise_std = 0) returns the
+  // mean and still consumes one standard draw, so later draws do not shift.
+  Rng rng(23);
+  std::mt19937_64 reference(23);
+  for (int i = 0; i < 50; ++i) {
+    std::normal_distribution<double> standard;
+    standard(reference);
+    EXPECT_EQ(rng.Normal(4.25, 0.0), 4.25);
+  }
+  EXPECT_EQ(rng.engine(), reference);
 }
 
 TEST(RngTest, SampleIsDistinctAndInRange) {

@@ -50,17 +50,27 @@ TEST(SpecTest, FromTensorRejectsHostileCountFields) {
   // Fuzzer-surfaced paths (tests/fuzz/regressions/model_artifact/): every
   // count field is attacker bytes, and casting NaN/huge doubles was UB.
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(
-      FeatureEngineeringSpec::FromTensor({kNaN, 1, 1, 0, 0, 0, 0}).ok());
-  EXPECT_FALSE(
-      FeatureEngineeringSpec::FromTensor({1e18, 1, 1, 0, 0, 0, 0}).ok());
-  // Per-field caps pass but the n_covariates x covariate_lags product
-  // would explode the schema width.
-  EXPECT_FALSE(
-      FeatureEngineeringSpec::FromTensor({4, 1, 1, 1024, 4096, 0, 0}).ok());
+  EXPECT_FALSE(FeatureEngineeringSpec::FromTensor({kNaN, 1, 1, 0, 0}).ok());
+  EXPECT_FALSE(FeatureEngineeringSpec::FromTensor({1e18, 1, 1, 0, 0}).ok());
   // Non-finite seasonal period.
-  EXPECT_FALSE(
-      FeatureEngineeringSpec::FromTensor({4, 1, 1, 0, 0, 1, kNaN, 0}).ok());
+  EXPECT_FALSE(FeatureEngineeringSpec::FromTensor({4, 1, 1, 1, kNaN, 0}).ok());
+}
+
+TEST(SpecTest, FromTensorRejectsThePreviousLayout) {
+  // Tensors in the layout that carried two covariate counts (always zero)
+  // after the flags, as older artifacts hold them: they must fail to load
+  // rather than decode with every later field shifted.
+  const std::vector<std::vector<double>> previous_layout = {
+      {4, 1, 1, 0, 0, 0, 0},
+      {4, 1, 1, 0, 0, 2, 24, 168, 0},
+      {4, 1, 1, 0, 0, 0, 3, 0, 2, 4},
+      {6, 0, 1, 0, 0, 1, 24, 2, 1, 5},
+  };
+  for (const std::vector<double>& t : previous_layout) {
+    Result<FeatureEngineeringSpec> spec = FeatureEngineeringSpec::FromTensor(t);
+    ASSERT_FALSE(spec.ok());
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(SchemaTest, NamesMatchConfiguration) {

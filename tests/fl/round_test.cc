@@ -10,6 +10,7 @@
 
 #include "fl/server.h"
 #include "fl/transport.h"
+#include "flaky_transport.h"
 #include "round_collector.h"
 
 namespace fedfc::fl {

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "fl/transport.h"
+#include "flaky_transport.h"
 #include "round_collector.h"
 
 namespace fedfc::fl {

@@ -21,6 +21,7 @@
 #include "fl/round.h"
 #include "fl/server.h"
 #include "fl/transport.h"
+#include "flaky_transport.h"
 #include "round_collector.h"
 
 namespace fedfc::fl {

@@ -1,12 +1,10 @@
 /// Kernel-layer contract tests (src/ml/kernels/): the scalar backend is the
 /// oracle — bit-identical to the historical loops it replaced — and every
-/// other backend must match it bit-for-bit for order-preserving ops
-/// (pack_col_major, hist_acc) and within 1e-9 relative for reduction ops
-/// (dot, gemm_*), the epsilon documented in docs/PERFORMANCE.md.
+/// other backend must match it within 1e-9 relative (axpy, gemm_*), the
+/// epsilon documented in docs/PERFORMANCE.md.
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -80,15 +78,13 @@ TEST(KernelsTest, ScalarGemmNNMatchesMatrixMultiply) {
   }
 }
 
-TEST(KernelsTest, BackendsAgreeOnDotAndAxpy) {
+TEST(KernelsTest, BackendsAgreeOnAxpy) {
   const kernels::Backend* avx2 = kernels::Avx2BackendOrNull();
   if (avx2 == nullptr) GTEST_SKIP() << "no AVX2 backend on this build/CPU";
   Rng rng(13);
   for (size_t n : {1u, 2u, 3u, 5u, 7u, 8u, 13u, 16u, 17u, 31u, 33u, 257u}) {
     const std::vector<double> a = RandomVector(n, &rng);
     const std::vector<double> b = RandomVector(n, &rng);
-    ExpectWithinEpsilon(kernels::ScalarBackend().dot(a.data(), b.data(), n),
-                        avx2->dot(a.data(), b.data(), n));
     std::vector<double> y_scalar = b, y_avx2 = b;
     kernels::ScalarBackend().axpy(n, 0.37, a.data(), y_scalar.data());
     avx2->axpy(n, 0.37, a.data(), y_avx2.data());
@@ -134,68 +130,6 @@ TEST(KernelsTest, BackendsAgreeOnGemmBiasNT) {
       for (size_t i = 0; i < c_scalar.size(); ++i) {
         ExpectWithinEpsilon(c_scalar[i], c_avx2[i]);
       }
-    }
-  }
-}
-
-TEST(KernelsTest, PackColMajorIsBitIdenticalAcrossBackends) {
-  const kernels::Backend* avx2 = kernels::Avx2BackendOrNull();
-  Rng rng(23);
-  for (const Shape& s : kShapes) {
-    const size_t ld = s.n + 2;  // Sub-block of a wider row-major parent.
-    const std::vector<double> src = RandomVector(s.m * ld, &rng);
-    std::vector<double> dst(s.m * s.n, 0.0);
-    kernels::ScalarBackend().pack_col_major(src.data(), s.m, s.n, ld,
-                                            dst.data());
-    for (size_t r = 0; r < s.m; ++r) {
-      for (size_t c = 0; c < s.n; ++c) {
-        EXPECT_EQ(src[r * ld + c], dst[c * s.m + r]);
-      }
-    }
-    if (avx2 != nullptr) {
-      std::vector<double> dst_avx2(s.m * s.n, 1.0);
-      avx2->pack_col_major(src.data(), s.m, s.n, ld, dst_avx2.data());
-      EXPECT_EQ(dst, dst_avx2);
-    }
-  }
-}
-
-TEST(KernelsTest, HistogramIsBitIdenticalAcrossBackends) {
-  const kernels::Backend* avx2 = kernels::Avx2BackendOrNull();
-  Rng rng(29);
-  for (size_t n_rows : {1u, 7u, 64u, 257u}) {
-    constexpr size_t kBins = 16, kStride = 5;
-    std::vector<size_t> rows;
-    std::vector<uint8_t> bins(n_rows * 2 * kStride, 0);
-    for (size_t i = 0; i < n_rows; ++i) {
-      rows.push_back(static_cast<size_t>(
-          rng.Int(0, static_cast<int64_t>(n_rows) * 2 - 1)));
-    }
-    for (uint8_t& b : bins) {
-      b = static_cast<uint8_t>(rng.Int(0, static_cast<int64_t>(kBins) - 1));
-    }
-    const std::vector<double> g = RandomVector(n_rows * 2, &rng);
-    const std::vector<double> h = RandomVector(n_rows * 2, &rng);
-
-    std::vector<double> hg_ref(kBins, 0.0), hh_ref(kBins, 0.0);
-    std::vector<size_t> hn_ref(kBins, 0);
-    for (size_t i : rows) {
-      size_t b = bins[i * kStride];
-      hg_ref[b] += g[i];
-      hh_ref[b] += h[i];
-      hn_ref[b] += 1;
-    }
-
-    for (const kernels::Backend* backend :
-         {&kernels::ScalarBackend(), avx2}) {
-      if (backend == nullptr) continue;
-      std::vector<double> hg(kBins, 0.0), hh(kBins, 0.0);
-      std::vector<size_t> hn(kBins, 0);
-      backend->hist_acc(rows.data(), rows.size(), bins.data(), kStride,
-                        g.data(), h.data(), hg.data(), hh.data(), hn.data());
-      EXPECT_EQ(hg_ref, hg) << backend->name;
-      EXPECT_EQ(hh_ref, hh) << backend->name;
-      EXPECT_EQ(hn_ref, hn) << backend->name;
     }
   }
 }

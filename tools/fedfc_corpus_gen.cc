@@ -299,7 +299,7 @@ void GenModelArtifactRegressions(const fs::path& dir) {
   // FeatureEngineeringSpec::FromTensor was UB before CheckedCount.
   fedfc::fl::ModelArtifactRecord nan_spec;
   nan_spec.config = LassoConfig().ToTensor();
-  nan_spec.spec = {kNaN, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0};
+  nan_spec.spec = {kNaN, 1.0, 1.0, 0.0, 0.0};
   nan_spec.model_blob = {0.1, 0.2};
   WriteFile(dir, "crash-spec-nan-lags", nan_spec.ToPayload().Serialize());
 
